@@ -40,7 +40,7 @@ from .machine import MachineSpec, feasible
 from .protocol import compose, decompose_two_step
 from .qlinalg import DEFAULT_TOL
 from .states import PureState, canonical_pair, overlap
-from .synthesis import exact_statistics, global_success, realize, sample
+from .synthesis import _draw, exact_statistics, global_success, realize
 
 COMMANDS = (
     "feasibility",
@@ -128,6 +128,17 @@ def _parse_complex(value, name: str) -> complex:
     raise ValidationError(f"{name} must be a number or a [re, im] pair")
 
 
+def _tolerance(value, source: str) -> float:
+    """A finite, positive tolerance from a flag, a task field or the environment."""
+    try:
+        tol = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValidationError(f"{source} must be a finite positive number, got {value!r}")
+    return tol
+
+
 def _require(task: dict, key: str):
     if key not in task:
         raise ValidationError(f"task is missing required field {key!r}")
@@ -165,20 +176,27 @@ def _state_from(value, name: str) -> PureState:
         raise ValidationError(f"bad state {name}: {exc}") from exc
 
 
+def _state_pair(states: dict, name: str) -> tuple[PureState, PureState]:
+    raw = _require(states, name)
+    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
+        raise ValidationError(f"states.{name} must be a list of two states")
+    return _state_from(raw[0], f"{name}[0]"), _state_from(raw[1], f"{name}[1]")
+
+
 def _states_from_task(task: dict, spec: MachineSpec, tol: float):
     states = task.get("states")
     if states is None:
         psi = canonical_pair(spec.alpha)
         phi = canonical_pair(spec.beta) if spec.beta is not None else None
         return psi, phi
-    psi_raw = _require(states, "psi")
-    psi = (_state_from(psi_raw[0], "psi[0]"), _state_from(psi_raw[1], "psi[1]"))
+    if not isinstance(states, dict):
+        raise ValidationError("task field 'states' must be an object")
+    psi = _state_pair(states, "psi")
     if abs(overlap(psi[0], psi[1]) - spec.alpha) > tol:
         raise ValidationError("explicit psi states disagree with alpha beyond tolerance")
     phi = None
     if spec.kind != "ncm":
-        phi_raw = _require(states, "phi")
-        phi = (_state_from(phi_raw[0], "phi[0]"), _state_from(phi_raw[1], "phi[1]"))
+        phi = _state_pair(states, "phi")
         if abs(overlap(phi[0], phi[1]) - spec.beta) > tol:
             raise ValidationError("explicit phi states disagree with beta beyond tolerance")
     return psi, phi
@@ -262,10 +280,9 @@ def _synthesize(task: dict, tol: float):
     psi, phi = _states_from_task(task, spec, tol)
     rz = realize(spec, psi, phi, tol)
     dist = exact_statistics(rz)
-    defect = float(np.max(np.abs(rz.matrix.conj().T @ rz.matrix - np.eye(rz.layout.total_dim))))
     results = {
         "dimension": rz.layout.total_dim,
-        "unitarity_defect": defect,
+        "unitarity_defect": rz.unitary.unitarity_defect(),
         "slot_probs": dist.slot_probs,
         "copy_fidelities": dist.copy_fidelities,
         "failure": dist.failure,
@@ -274,7 +291,7 @@ def _synthesize(task: dict, tol: float):
     }
     if task.get("emit_matrix"):
         results["matrix"] = rz.matrix
-    return rz, results
+    return dist, results
 
 
 def _cmd_synthesize(task: dict, tol: float, seed) -> dict:
@@ -285,10 +302,10 @@ def _cmd_synthesize(task: dict, tol: float, seed) -> dict:
 def _cmd_simulate(task: dict, tol: float, seed) -> dict:
     if seed is None:
         raise ValidationError("simulate requires a seed (--seed or task field)")
-    rz, results = _synthesize(task, tol)
+    dist, results = _synthesize(task, tol)
     shots = int(task.get("shots", 10000))
     input_index = int(task.get("input_index", 0))
-    results["counts"] = sample(rz, input_index, shots, seed)
+    results["counts"] = _draw(dist, input_index, shots, seed)
     results["shots"] = shots
     results["input_index"] = input_index
     return results
@@ -487,12 +504,13 @@ def main(argv=None) -> int:
                 f"task declares command {declared!r} but {args.command!r} was requested"
             )
 
-        tol = args.tol
-        if tol is None and "tolerance" in task:
-            tol = float(task["tolerance"])
-        if tol is None and os.environ.get("CLONEKIT_TOL"):
-            tol = float(os.environ["CLONEKIT_TOL"])
-        if tol is None:
+        if args.tol is not None:
+            tol = _tolerance(args.tol, "--tol")
+        elif "tolerance" in task:
+            tol = _tolerance(task["tolerance"], "task field 'tolerance'")
+        elif os.environ.get("CLONEKIT_TOL"):
+            tol = _tolerance(os.environ["CLONEKIT_TOL"], "CLONEKIT_TOL")
+        else:
             tol = DEFAULT_TOL
         seed = args.seed if args.seed is not None else task.get("seed")
         if seed is not None:

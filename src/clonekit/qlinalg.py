@@ -3,23 +3,22 @@
 Everything in here is plain numpy on immutable inputs: inner products,
 Kronecker products, 2x2 positive-semidefiniteness tests and Cholesky
 factors, and the extension of a partial isometry (a few vector pairs with
-matching Gram matrices) to a full unitary.  The 2x2 routines are
-closed-form on purpose; no eigensolver is involved.
+matching Gram matrices) to a full unitary, kept in the low-rank form
+U = I + Q (W - I) Q^dagger.  The 2x2 routines are closed-form on purpose;
+no eigensolver is involved.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 
 # Single knob for every numerical comparison in the package; callers may
 # override per call.
 DEFAULT_TOL = 1e-9
-
-# Residual-norm threshold below which a completion candidate counts as
-# linearly dependent on the vectors already accepted.
-_COMPLETION_CUTOFF = 1e-8
 
 
 def as_cvector(v) -> np.ndarray:
@@ -105,60 +104,79 @@ def cholesky_psd2(h, tol: float = DEFAULT_TOL) -> np.ndarray:
     return L
 
 
-def _orthonormal_chain(vectors: list[np.ndarray], dependence_tol: float) -> list[np.ndarray]:
-    """Modified Gram-Schmidt with re-orthogonalization, in index order."""
-    basis: list[np.ndarray] = []
-    for v in vectors:
-        w = v.astype(np.complex128, copy=True)
-        for _ in range(2):  # twice is enough for numerical orthogonality
-            for b in basis:
-                w = w - np.vdot(b, w) * b
-        nrm = np.linalg.norm(w)
-        if nrm <= dependence_tol:
-            raise ValidationError("vectors are linearly dependent beyond tolerance")
-        basis.append(w / nrm)
-    return basis
+# Entries of U^dagger U - I formed per block in unitarity_defect; bounds its
+# memory to one block instead of a dim x dim matrix.
+_DEFECT_BLOCK_ENTRIES = 1 << 16
 
 
-def _complete_basis(basis: list[np.ndarray], dim: int) -> np.ndarray:
-    """Extend an orthonormal set to a full basis, returned as matrix columns.
+@dataclass(frozen=True)
+class LowRankUnitary:
+    """U = I + Q (W - I) Q^dagger, a unitary that moves only range(Q).
 
-    Candidates e_0, e_1, ... are tried in index order; the ones not already
-    in the span are orthonormalized (blocked projection, repeated once for
-    numerical orthogonality) and appended, which makes the completion
-    deterministic and bit-reproducible.
+    ``q`` is dim x k with orthonormal columns and ``w`` a k x k unitary;
+    U is the identity on the orthogonal complement of range(Q).  Applying
+    U costs O(dim k), building it densely O(dim^2 k).
     """
-    bmat = np.zeros((dim, dim), dtype=np.complex128)
-    bconj = np.zeros((dim, dim), dtype=np.complex128)  # avoids a conj copy per candidate
-    n = len(basis)
-    for j, b in enumerate(basis):
-        bmat[:, j] = b
-        bconj[:, j] = np.conj(b)
-    for idx in range(dim):
-        if n == dim:
-            break
-        w = np.zeros(dim, dtype=np.complex128)
-        w[idx] = 1.0
-        for _ in range(2):
-            w = w - bmat[:, :n] @ (bconj[:, :n].T @ w)
-        nrm = np.linalg.norm(w)
-        if nrm > _COMPLETION_CUTOFF:
-            bmat[:, n] = w / nrm
-            bconj[:, n] = np.conj(bmat[:, n])
-            n += 1
-    if n != dim:
-        raise NumericalError("basis completion failed to reach full dimension")
-    return bmat
+
+    q: np.ndarray
+    w: np.ndarray
+
+    def _shift(self) -> np.ndarray:
+        return self.w - np.eye(self.w.shape[0])
+
+    def apply(self, v) -> np.ndarray:
+        """U @ v without forming U."""
+        v = np.asarray(v, dtype=np.complex128)
+        return v + self.q @ (self._shift() @ (self.q.conj().T @ v))
+
+    def dense(self) -> np.ndarray:
+        """U as a dim x dim matrix."""
+        dim = self.q.shape[0]
+        return np.eye(dim, dtype=np.complex128) + (self.q @ self._shift()) @ self.q.conj().T
+
+    def unitarity_defect(self) -> float:
+        """max |U^dagger U - I| over all entries, from the factors alone.
+
+        With A = W - I and G = Q^dagger Q, U^dagger U - I = Q M Q^dagger
+        where M = A + A^dagger + A^dagger G A, an identity that needs
+        neither Q nor W to be exactly orthonormal.  The entries are formed
+        one block of rows at a time.
+        """
+        a = self._shift()
+        gram = self.q.conj().T @ self.q
+        mq = (a + a.conj().T + a.conj().T @ gram @ a) @ self.q.conj().T
+        dim = self.q.shape[0]
+        rows = max(1, _DEFECT_BLOCK_ENTRIES // dim)
+        return max(float(np.max(np.abs(self.q[i:i + rows] @ mq))) for i in range(0, dim, rows))
 
 
-def extend_to_unitary(inputs, outputs, tol: float = DEFAULT_TOL) -> np.ndarray:
+def _positive_qr_unitary(a: np.ndarray, tol: float) -> np.ndarray:
+    """Unitary V of the complete QR factorization a = V R with a positive diagonal on R.
+
+    Raises ValidationError when a diagonal entry of R is within ``tol`` of
+    zero, i.e. when the columns of ``a`` are linearly dependent.
+    """
+    v, r = np.linalg.qr(a, mode="complete")
+    diag = np.diagonal(r)
+    if np.any(np.abs(diag) <= tol):
+        raise ValidationError("vectors are linearly dependent beyond tolerance")
+    v[:, : diag.size] *= diag / np.abs(diag)
+    return v
+
+
+def low_rank_unitary(inputs, outputs, tol: float = DEFAULT_TOL) -> LowRankUnitary:
     """Unitary U with U @ inputs[j] = outputs[j] for Gram-matched vector lists.
 
     Preconditions: equal counts and dimensions, Gram(inputs) equal to
-    Gram(outputs) within ``tol``, and linearly independent inputs.  Both
-    sides are orthonormalized in index order and completed against the
-    canonical basis (ascending index), then paired direction by direction,
-    so the result is deterministic.
+    Gram(outputs) within ``tol``, and linearly independent inputs and
+    outputs.  One thin QR of the stack [X | Y] = Q [R_x | R_y] gives Q,
+    k = min(dim, 2n) orthonormal columns spanning both sides.  With
+    R_x = V_x T_x and R_y = V_y T_y complete QR factorizations whose
+    triangular factors have positive diagonals, equal Gram matrices give
+    T_x = T_y (Cholesky factors are unique), so W = V_y V_x^dagger maps
+    each R_x column onto the matching R_y column.  Q may hold directions
+    outside span(X, Y) when the stack is rank-deficient; U stays unitary
+    and still maps X onto Y.  The result is deterministic.
     """
     ins = [as_cvector(v) for v in inputs]
     outs = [as_cvector(v) for v in outputs]
@@ -169,14 +187,25 @@ def extend_to_unitary(inputs, outputs, tol: float = DEFAULT_TOL) -> np.ndarray:
     dim = ins[0].shape[0]
     if any(v.shape[0] != dim for v in ins + outs):
         raise ValidationError("all vectors must share one dimension")
-    if len(ins) > dim:
+    n = len(ins)
+    if n > dim:
         raise ValidationError("more vectors than dimensions")
 
-    gram_in = np.array([[np.vdot(a, b) for b in ins] for a in ins])
-    gram_out = np.array([[np.vdot(a, b) for b in outs] for a in outs])
-    if np.max(np.abs(gram_in - gram_out)) > tol:
+    x = np.column_stack(ins)
+    y = np.column_stack(outs)
+    if np.max(np.abs(x.conj().T @ x - y.conj().T @ y)) > tol:
         raise ValidationError("Gram matrices of inputs and outputs disagree beyond tolerance")
 
-    umat = _complete_basis(_orthonormal_chain(ins, tol), dim)
-    vmat = _complete_basis(_orthonormal_chain(outs, tol), dim)
-    return vmat @ umat.conj().T
+    q, r = np.linalg.qr(np.hstack([x, y]))
+    vx = _positive_qr_unitary(r[:, :n], tol)
+    vy = _positive_qr_unitary(r[:, n:], tol)
+    return LowRankUnitary(q=q, w=vy @ vx.conj().T)
+
+
+def extend_to_unitary(inputs, outputs, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Dense unitary U with U @ inputs[j] = outputs[j]; see low_rank_unitary.
+
+    Same preconditions and errors as low_rank_unitary; the dense matrix
+    costs O(dim^2 k) to build.
+    """
+    return low_rank_unitary(inputs, outputs, tol).dense()

@@ -3,21 +3,24 @@
 Given a feasible spec and concrete input states, the machine's two required
 input-output pairs are embedded in the full AB x P space, the failure branch
 is completed from the Cholesky factor of the residual Gram matrix, and the
-resulting Gram-matched pair map is extended to a full unitary.  Measurement
-statistics are then exact: project the probe register onto each slot
-subspace (or the failure subspace) and read off probabilities and
-post-selected copy fidelities.
+resulting Gram-matched pair map is extended to a full unitary, kept in the
+low-rank form U = I + Q (W - I) Q^dagger (Q spans at most four
+directions).  Measurement statistics are then exact: apply U to each input
+through the factors, project the probe register onto each slot subspace
+(or the failure subspace) and read off probabilities and post-selected
+copy fidelities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InfeasibleError, NumericalError, ValidationError
 from .machine import MachineSpec, feasible, optimal_probe_overlaps
-from .qlinalg import DEFAULT_TOL, cholesky_psd2, extend_to_unitary
+from .qlinalg import DEFAULT_TOL, LowRankUnitary, cholesky_psd2, low_rank_unitary
 from .states import PureState, SpaceLayout, embed_input, overlap, target_ab, target_output
 
 # Guard on the total dimension 2^(m+1) * (2m+3); override via realize(max_m=...).
@@ -28,18 +31,24 @@ DEFAULT_MAX_M = 6
 class UnitaryRealization:
     """A machine's unitary together with its labeled embedding.
 
+    ``unitary`` holds the unitary in low-rank form; ``matrix`` builds the
+    dense dim x dim matrix on first access, which costs O(dim^2) memory.
     ``failure_amplitudes`` is the lower-triangular Cholesky factor L of the
     residual Gram matrix; row i holds the two failure-direction amplitudes
     of input i, so |L[i,0]|^2 + |L[i,1]|^2 = 1 - sum_k r_k^(i).
     """
 
     layout: SpaceLayout
-    matrix: np.ndarray
+    unitary: LowRankUnitary
     inputs: tuple[np.ndarray, np.ndarray]
     outputs: tuple[np.ndarray, np.ndarray]
     spec: MachineSpec
     failure_amplitudes: np.ndarray
     psi: tuple[PureState, PureState]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return self.unitary.dense()
 
 
 @dataclass(frozen=True)
@@ -113,10 +122,9 @@ def realize(
     if np.max(np.abs(gram_in - gram_out)) > tol:
         raise NumericalError("success/failure split failed to reproduce the input Gram matrix")
 
-    matrix = extend_to_unitary(inputs, outputs, tol)
     return UnitaryRealization(
         layout=layout,
-        matrix=matrix,
+        unitary=low_rank_unitary(inputs, outputs, tol),
         inputs=(inputs[0], inputs[1]),
         outputs=(outputs[0], outputs[1]),
         spec=spec_p,
@@ -144,7 +152,7 @@ def exact_statistics(rz: UnitaryRealization) -> OutcomeDistribution:
     fails = np.zeros(2)
     non_slot = [0, *layout.failure_indices]
     for i in range(2):
-        vec = rz.matrix @ rz.inputs[i]
+        vec = rz.unitary.apply(rz.inputs[i])
         table = vec.reshape(layout.ab_dim, layout.probe_dim)
         for k in range(1, m + 1):
             cols = table[:, list(layout.slot_indices(k))]
@@ -166,12 +174,16 @@ def sample(rz: UnitaryRealization, input_index: int, n_shots: int, seed: int) ->
     Outcomes are keyed "slot_1".."slot_m" and "failure"; counts sum to
     ``n_shots`` and are reproducible for a fixed seed.
     """
+    return _draw(exact_statistics(rz), input_index, n_shots, seed)
+
+
+def _draw(dist: OutcomeDistribution, input_index: int, n_shots: int, seed: int) -> dict[str, int]:
+    """The multinomial draw of ``sample`` from an already computed distribution."""
     if n_shots < 1:
         raise ValidationError("n_shots must be >= 1")
     if input_index not in (0, 1):
         raise ValidationError("input_index must be 0 or 1")
-    dist = exact_statistics(rz)
-    m = rz.spec.m
+    m = dist.slot_probs.shape[1]
     probs = np.append(dist.slot_probs[input_index], dist.failure[input_index])
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum()

@@ -312,3 +312,89 @@ class TestSweep:
              "sweep": [{"name": "alpha", "start": 0.0, "stop": 0.5, "steps": 20000}]},
         )
         assert run(capsys, ["sweep", "--task", task])[0] == 2
+
+
+SYNTH_TASK = {"command": "synthesize", "kind": "joint", "alpha": 0.5, "beta": 0.9, "m": 1,
+              "r": [[0.5], [0.5]]}
+GOOD_PSI = [[1.0, 0.0], [0.5, np.sqrt(0.75)]]
+GOOD_PHI = [[1.0, 0.0], [0.9, np.sqrt(1 - 0.81)]]
+
+
+class TestMalformedStates:
+    @pytest.mark.parametrize("states", [5, "psi", [GOOD_PSI, GOOD_PHI]])
+    def test_states_not_an_object(self, tmp_path, capsys, states):
+        task = write_task(tmp_path, "t.json", {**SYNTH_TASK, "states": states})
+        code, _, err = run(capsys, ["synthesize", "--task", task])
+        assert code == 2
+        assert "'states' must be an object" in err
+
+    @pytest.mark.parametrize("psi", [5, "ab", [[1.0, 0.0]], [*GOOD_PSI, [0.0, 1.0]], {"0": [1.0, 0.0]}])
+    def test_psi_not_two_states(self, tmp_path, capsys, psi):
+        task = write_task(tmp_path, "t.json", {**SYNTH_TASK, "states": {"psi": psi, "phi": GOOD_PHI}})
+        code, _, err = run(capsys, ["synthesize", "--task", task])
+        assert code == 2
+        assert "states.psi must be a list of two states" in err
+
+    @pytest.mark.parametrize("phi", [5, "ab", [[1.0, 0.0]], [*GOOD_PHI, [0.0, 1.0]]])
+    def test_phi_not_two_states(self, tmp_path, capsys, phi):
+        task = write_task(tmp_path, "t.json",
+                          {**SYNTH_TASK, "command": "simulate", "states": {"psi": GOOD_PSI, "phi": phi}})
+        code, _, err = run(capsys, ["simulate", "--task", task, "--seed", "1"])
+        assert code == 2
+        assert "states.phi must be a list of two states" in err
+
+
+class TestToleranceValidation:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0"])
+    def test_bad_flag(self, tmp_path, capsys, value):
+        task = write_task(tmp_path, "t.json", FEAS_TASK)
+        code, out, err = run(capsys, ["feasibility", "--task", task, f"--tol={value}"])
+        assert code == 2 and out == ""
+        assert "--tol must be a finite positive number" in err
+
+    @pytest.mark.parametrize("value", ["abc", [1e-6], True, None, -1e-9, 0])
+    def test_bad_task_field(self, tmp_path, capsys, value):
+        task = write_task(tmp_path, "t.json", {**FEAS_TASK, "tolerance": value})
+        code, out, err = run(capsys, ["feasibility", "--task", task])
+        assert code == 2 and out == ""
+        assert "task field 'tolerance' must be a finite positive number" in err
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "nan", "0"])
+    def test_bad_environment(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("CLONEKIT_TOL", value)
+        task = write_task(tmp_path, "t.json", FEAS_TASK)
+        code, out, err = run(capsys, ["feasibility", "--task", task])
+        assert code == 2 and out == ""
+        assert "CLONEKIT_TOL must be a finite positive number" in err
+
+    def test_rejected_before_the_handler(self, tmp_path, capsys, monkeypatch):
+        import clonekit.cli as cli
+
+        def handler(task, tol, seed):
+            raise AssertionError("handler ran")
+
+        monkeypatch.setitem(cli._HANDLERS, "feasibility", handler)
+        task = write_task(tmp_path, "t.json", FEAS_TASK)
+        assert run(capsys, ["feasibility", "--task", task, "--tol", "-1"])[0] == 2
+
+    def test_task_field_used(self, tmp_path, capsys):
+        task = write_task(tmp_path, "t.json", {**FEAS_TASK, "tolerance": 1e-7})
+        code, out, _ = run(capsys, ["feasibility", "--task", task])
+        assert code == 0
+        assert json.loads(out)["tolerance"] == pytest.approx(1e-7)
+
+
+class TestSimulateCounts:
+    def test_counts_match_public_sample(self, tmp_path, capsys):
+        from clonekit.machine import MachineSpec
+        from clonekit.states import canonical_pair
+        from clonekit.synthesis import realize, sample
+
+        payload = {"command": "simulate", "kind": "joint", "alpha": 0.5, "beta": 0.9, "m": 2,
+                   "r": [[0.2, 0.3], [0.25, 0.1]], "shots": 5000, "input_index": 1}
+        task = write_task(tmp_path, "t.json", payload)
+        code, out, _ = run(capsys, ["simulate", "--task", task, "--seed", "9"])
+        assert code == 0
+        spec = MachineSpec("joint", 0.5, 0.9, 2, payload["r"])
+        rz = realize(spec, canonical_pair(0.5), canonical_pair(0.9))
+        assert json.loads(out)["results"]["counts"] == sample(rz, 1, 5000, seed=9)

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from clonekit.errors import ValidationError
-from clonekit.qlinalg import cholesky_psd2, extend_to_unitary, inner, psd2_check, tensor
+from clonekit.qlinalg import (
+    LowRankUnitary,
+    cholesky_psd2,
+    extend_to_unitary,
+    inner,
+    low_rank_unitary,
+    psd2_check,
+    tensor,
+)
 from helpers import random_gram_matched, random_psd2
 
 E0 = np.array([1.0, 0.0], dtype=complex)
@@ -147,3 +155,33 @@ class TestExtendToUnitary:
     def test_linear_dependence_rejected(self):
         with pytest.raises(ValidationError):
             extend_to_unitary([E0, E0], [E0, E0])
+
+
+class TestLowRankUnitary:
+    def test_factors_move_only_the_stacked_span(self):
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            ins, outs = random_gram_matched(rng, 8)
+            lr = low_rank_unitary(ins, outs)
+            assert lr.q.shape == (8, 4) and lr.w.shape == (4, 4)
+            assert np.max(np.abs(lr.q.conj().T @ lr.q - np.eye(4))) < 1e-12
+            assert np.max(np.abs(lr.w.conj().T @ lr.w - np.eye(4))) < 1e-12
+            v = rng.normal(size=8) + 1j * rng.normal(size=8)
+            outside = v - lr.q @ (lr.q.conj().T @ v)
+            np.testing.assert_allclose(lr.apply(outside), outside, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(lr.apply(v), lr.dense() @ v, rtol=0, atol=1e-12)
+            for a, b in zip(ins, outs):
+                assert np.max(np.abs(lr.apply(a) - b)) < 1e-12
+
+    def test_factored_defect_of_exact_and_perturbed_factors(self):
+        rng = np.random.default_rng(23)
+        ins, outs = random_gram_matched(rng, 8)
+        lr = low_rank_unitary(ins, outs)
+        dense = lr.dense()
+        assert lr.unitarity_defect() == pytest.approx(
+            np.max(np.abs(dense.conj().T @ dense - np.eye(8))), abs=1e-14)
+        bad = LowRankUnitary(lr.q, lr.w * (1 + 1e-6))
+        bad_dense = bad.dense()
+        expected = np.max(np.abs(bad_dense.conj().T @ bad_dense - np.eye(8)))
+        assert expected > 1e-6
+        assert bad.unitarity_defect() == pytest.approx(expected, abs=1e-14)

@@ -1,8 +1,12 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from clonekit.errors import InfeasibleError, ValidationError
 from clonekit.machine import MachineSpec
+from clonekit.qlinalg import LowRankUnitary
 from clonekit.states import basis_state, canonical_pair, tensor_power
 from clonekit.synthesis import exact_statistics, global_success, realize, sample
 from helpers import random_feasible_spec
@@ -187,3 +191,72 @@ class TestGlobalSuccess:
             global_success(dist, (0.7, 0.2))
         with pytest.raises(ValidationError):
             global_success(dist, (-0.1, 1.1))
+
+
+class _DenseUnitary:
+    """Applies a dense matrix; the reference route for exact_statistics."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def apply(self, v):
+        return self.matrix @ v
+
+
+def _random_realization(rng):
+    spec = random_feasible_spec(rng, m=int(rng.integers(1, 5)))
+    psi = canonical_pair(spec.alpha)
+    phi = canonical_pair(spec.beta) if spec.beta is not None else None
+    return spec, realize(spec, psi, phi)
+
+
+class TestLowRankRealization:
+    def test_factored_defect_matches_dense(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(30):
+            _, rz = _random_realization(rng)
+            assert abs(rz.unitary.unitarity_defect() - unitarity_defect(rz.matrix)) < 1e-14
+
+    def test_non_unitary_w_reported_by_both_routes(self):
+        rng = np.random.default_rng(2025)
+        for _ in range(10):
+            _, rz = _random_realization(rng)
+            bad = dataclasses.replace(rz, unitary=LowRankUnitary(rz.unitary.q, rz.unitary.w * (1 + 1e-6)))
+            factored = bad.unitary.unitarity_defect()
+            dense = unitarity_defect(bad.matrix)
+            assert 1e-6 < factored < 3e-6
+            assert abs(factored - dense) < 1e-14
+
+    def test_statistics_match_dense_route(self):
+        rng = np.random.default_rng(2026)
+        for _ in range(20):
+            _, rz = _random_realization(rng)
+            for i in range(2):
+                np.testing.assert_allclose(rz.unitary.apply(rz.inputs[i]), rz.matrix @ rz.inputs[i],
+                                           rtol=0, atol=1e-12)
+            dense = exact_statistics(dataclasses.replace(rz, unitary=_DenseUnitary(rz.matrix)))
+            factored = exact_statistics(rz)
+            for name in ("slot_probs", "copy_fidelities", "failure"):
+                np.testing.assert_allclose(getattr(factored, name), getattr(dense, name), rtol=0, atol=1e-12)
+
+    def test_depth_six_without_dense_matrix(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("dense matrix built")
+
+        monkeypatch.setattr(LowRankUnitary, "dense", refuse)
+        spec = MachineSpec("joint", 0.5, 0.9, 6, np.full((2, 6), 0.05))
+        tracemalloc.start()
+        try:
+            rz = realize(spec, PSI, PHI)
+            defect = rz.unitary.unitarity_defect()
+            dist = exact_statistics(rz)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dim = rz.layout.total_dim
+        assert dim == 1920
+        assert peak < dim * dim * 16 / 8  # an eighth of one dense complex matrix
+        assert "matrix" not in vars(rz)
+        assert defect < 1e-10
+        assert np.max(np.abs(dist.slot_probs - spec.r)) < 1e-9
+        assert np.all(dist.copy_fidelities > 1.0 - 1e-9)
