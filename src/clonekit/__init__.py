@@ -25,10 +25,12 @@ from .machine import (
     dominance_premise,
     feasible,
     optimal_probe_overlaps,
+    ray_limit,
+    ray_terms,
     reduced_inequality,
     residual_gram,
 )
-from .protocol import HFunction, TwoStepPlan, compose, decompose_two_step, f_value, h_value, strategy_success
+from .protocol import TwoStepPlan, compose, decompose_two_step, f_value, strategy_success
 from .qlinalg import DEFAULT_TOL, cholesky_psd2, extend_to_unitary, inner, psd2_check, tensor
 from .states import (
     PureState,
@@ -49,7 +51,6 @@ __all__ = [
     "CloneKitError",
     "DEFAULT_TOL",
     "FeasibilityReport",
-    "HFunction",
     "InfeasibleError",
     "MachineSpec",
     "NumericalError",
@@ -77,7 +78,6 @@ __all__ = [
     "feasible",
     "global_success",
     "grid_oracle",
-    "h_value",
     "inner",
     "ncmsi_advantage",
     "optimal_probe_overlaps",
@@ -85,6 +85,8 @@ __all__ = [
     "overlap",
     "psd2_check",
     "qubit",
+    "ray_limit",
+    "ray_terms",
     "realize",
     "reduced_inequality",
     "residual_gram",

@@ -1,32 +1,42 @@
 """Closed-form bounds, success-probability optimization, and the universal-cloner checkpoint.
 
-The optimizer is deliberately derivative-free.  Symmetric problems reduce to
-one scalar boundary solve per slot pattern and are handled by bisection;
-asymmetric problems run coordinate ascent with per-coordinate bisection to
-the feasibility boundary from three fixed starting points.  A brute-force
-grid oracle provides an independent check on every optimum.
+The optimizer is deliberately derivative-free, and every boundary it meets is
+an exact quadratic root.  Symmetric problems reduce to one ray boundary per
+slot pattern (:func:`clonekit.machine.ray_limit`); asymmetric problems run
+coordinate ascent from three fixed starting points, one of them the
+symmetric optimum, and each coordinate step solves the determinant, a
+concave quadratic in u = sqrt(r_ik), for its upper root.  A brute-force grid
+oracle, scored in array chunks from the closed-form determinant, provides an
+independent check on every optimum.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .machine import MachineSpec, _clamp_unit, feasible
+from .machine import (
+    MachineSpec,
+    _clamp_unit,
+    _overlap_powers,
+    _stable_roots,
+    _target,
+    closed_form_det,
+    feasible,
+    ray_limit,
+    ray_terms,
+)
 from .qlinalg import DEFAULT_TOL
 from .states import KINDS
 
 _GRID_BUDGET = 10_000_000
+# Grid points scored per array evaluation; keeps the oracle's memory flat.
+_GRID_CHUNK = 1 << 16
 # Strict-sum machines cannot sit exactly at total success 1; stop just below.
 _CAP_MARGIN = 1e-12
-_BISECTION_STEPS = 80
-# Boundary solves probe feasibility with a near-zero epsilon (not the
-# reporting tolerance) so returned optima never overshoot the true boundary
-# by more than float noise.
-_STRICT_TOL = 1e-14
 
 
 def duan_guo_bound(alpha_abs: float) -> float:
@@ -101,33 +111,15 @@ def _row_cap(prob: OptimizationProblem) -> float:
     return 1.0 - _CAP_MARGIN if _strict_sum(prob) else 1.0
 
 
-def _is_feasible(prob: OptimizationProblem, r: np.ndarray, p, tol: float) -> bool:
-    try:
-        spec = _spec(prob, r, p)
-    except ValidationError:
-        return False
-    return feasible(spec, tol).feasible
+def _scale_limit(prob: OptimizationProblem, direction: np.ndarray, cap: float,
+                 probes_pinned: bool = False) -> float:
+    """Largest s in [0, cap] with s * direction feasible.
 
-
-def _largest_feasible_scale(prob, build, cap: float, p) -> float:
-    """Largest s in [0, cap] with build(s) feasible at the strict tolerance.
-
-    ``build`` must be monotone in the sense that feasibility at s implies
-    feasibility below s (true for slot-proportional scalings); the cap is
-    probed first to catch regions where the constraint goes slack.
+    With every probe overlap pinned to 0 the success branches cancel none of
+    the off-diagonal, which stays |T| along the whole ray (S = 0).
     """
-    if _is_feasible(prob, build(cap), p, _STRICT_TOL):
-        return cap
-    lo, hi = 0.0, cap
-    if not _is_feasible(prob, build(lo), p, _STRICT_TOL):
-        raise NumericalError("even the zero machine is infeasible; invalid problem")
-    for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if _is_feasible(prob, build(mid), p, _STRICT_TOL):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    r1, r2, s, t = ray_terms(prob.kind, prob.alpha, prob.beta, direction)
+    return ray_limit(r1, r2, 0.0 if probes_pinned else s, t, cap)
 
 
 def _slot_matrix(m: int, slot: int, value: float) -> np.ndarray:
@@ -139,16 +131,45 @@ def _slot_matrix(m: int, slot: int, value: float) -> np.ndarray:
 def _optimize_symmetric(prob: OptimizationProblem, tol: float) -> tuple[np.ndarray, float, list[str]]:
     # All weight on slot 1: it carries the largest overlap power, so it
     # relaxes the boundary most per unit of success probability.
-    cap = _row_cap(prob)
-    best = _largest_feasible_scale(prob, lambda v: _slot_matrix(prob.m, 1, v), cap, None)
+    best = _scale_limit(prob, _slot_matrix(prob.m, 1, 1.0), _row_cap(prob))
     trace = [f"symmetric slot-1 boundary solve: R* = {best:.17g}"]
     return _slot_matrix(prob.m, 1, best), best, trace
+
+
+def _coordinate_limit(r: np.ndarray, i: int, k: int, cap: float, weights: np.ndarray, t: float) -> float:
+    """Largest r[i, k] in [0, cap] that keeps r feasible with every other entry fixed.
+
+    With u = sqrt(r_ik), row i's failure weight is (1 - A) - u^2 (A the rest
+    of the row) and the off-diagonal modulus is max(0, D - w u) with
+    w = sqrt(r_jk) |alpha|^pow_k and D = |T| minus the other slots' share.
+    Below the kink D / w the determinant is the concave quadratic
+    -(1 - R_j + w^2) u^2 + 2 w D u + (1 - A)(1 - R_j) - D^2; above it only the
+    diagonal binds, and ``cap`` keeps that nonnegative.  Returns the current
+    value when rounding leaves no real root below the kink; the caller moves
+    only to a larger value.
+    """
+    j = 1 - i
+    cur = r[i, k]
+    amps = np.sqrt(r[0] * r[1]) * weights
+    fail_rest = 1.0 - (r[i].sum() - cur)
+    fail_j = 1.0 - r[j].sum()
+    w = math.sqrt(r[j, k]) * weights[k]
+    d = t - (amps.sum() - amps[k])
+    if d <= w * math.sqrt(cur):  # already past the kink: only the diagonal binds
+        return cap
+    _, hi = _stable_roots(-(fail_j + w * w), 2.0 * w * d, fail_rest * fail_j - d * d)
+    hi = float(hi)
+    if not 0.0 <= hi < math.inf:  # no real root, or w = 0 with row j at total success 1
+        return cur
+    return cap if w * hi >= d else min(cap, hi * hi)
 
 
 def _coordinate_ascent(prob: OptimizationProblem, r0: np.ndarray, tol: float, trace: list[str]) -> np.ndarray:
     pr = np.asarray(prob.priors)
     r = r0.copy()
     strict = _strict_sum(prob)
+    weights = abs(prob.alpha) ** _overlap_powers(prob.kind, prob.m)
+    t = abs(_target(prob.kind, prob.alpha, prob.beta))
     for sweep in range(60):
         gained = 0.0
         for i in range(2):
@@ -162,23 +183,10 @@ def _coordinate_ascent(prob: OptimizationProblem, r0: np.ndarray, tol: float, tr
                 hi = min(1.0, room)
                 if hi <= cur + 1e-15:
                     continue
-                trial = r.copy()
-                trial[i, k] = hi
-                if _is_feasible(prob, trial, None, _STRICT_TOL):
-                    r = trial
-                    gained += hi - cur
-                    continue
-                lo_v, hi_v = cur, hi
-                for _ in range(_BISECTION_STEPS):
-                    mid = 0.5 * (lo_v + hi_v)
-                    trial[i, k] = mid
-                    if _is_feasible(prob, trial, None, _STRICT_TOL):
-                        lo_v = mid
-                    else:
-                        hi_v = mid
-                trial[i, k] = lo_v
-                r = trial
-                gained += lo_v - cur
+                new = _coordinate_limit(r, i, k, hi, weights, t)
+                if new > cur:
+                    r[i, k] = new
+                    gained += new - cur
         trace.append(f"sweep {sweep}: objective {float(np.sum(pr * r.sum(axis=1))):.17g}")
         if gained < 1e-12:
             break
@@ -189,10 +197,12 @@ def _optimize_asymmetric(prob: OptimizationProblem, tol: float) -> tuple[np.ndar
     pr = np.asarray(prob.priors)
     trace: list[str] = []
     seeds: list[np.ndarray] = [np.zeros((2, prob.m))]
+    # Ascent only raises the objective, so seeding from the symmetric optimum
+    # itself keeps the asymmetric result at or above it.
     sym_r, _, _ = _optimize_symmetric(prob, tol)
-    seeds.append(0.5 * sym_r)
+    seeds.append(sym_r)
     uniform = np.full((2, prob.m), 1.0 / prob.m)
-    scale = _largest_feasible_scale(prob, lambda s: s * uniform, _row_cap(prob), None)
+    scale = _scale_limit(prob, uniform, _row_cap(prob))
     seeds.append(0.9 * scale * uniform)
 
     best_r, best_val = None, -1.0
@@ -233,35 +243,46 @@ def optimize(prob: OptimizationProblem, tol: float = DEFAULT_TOL,
     )
 
 
+def _grid_feasible(prob: OptimizationProblem, r: np.ndarray, tol: float) -> np.ndarray:
+    """Per-matrix verdict of building the spec and calling :func:`feasible` on a stack of r.
+
+    ``r`` has shape (N, 2, m).  A matrix passes when both rows sum to at
+    most 1 (strictly below 1 for a joint problem with alpha*beta != 0, which
+    ``MachineSpec`` would reject), so both diagonal entries are nonnegative,
+    and its closed-form determinant with optimal probe overlaps is >= -tol.
+    """
+    r1, r2, s, t = ray_terms(prob.kind, prob.alpha, prob.beta, r)
+    ok = (r1 < 1.0) & (r2 < 1.0) if _strict_sum(prob) else (r1 <= 1.0) & (r2 <= 1.0)
+    return ok & (closed_form_det(r1, r2, s, t) >= -tol)
+
+
 def grid_oracle(prob: OptimizationProblem, resolution: float) -> float:
     """Exhaustive feasibility scan of the r grid; independent of the optimizer.
 
     Returns the best prior-weighted success over grid points (step
     ``resolution``) that pass the determinant feasibility test with optimal
     probe overlaps.  A lower bound on the true optimum within the grid's
-    resolution.
+    resolution.  The grid is scored in chunks of at most ``_GRID_CHUNK``
+    points, so memory stays flat up to ``_GRID_BUDGET``.
     """
     if resolution <= 0:
         raise ValidationError("resolution must be positive")
     values = np.arange(0.0, 1.0 + resolution / 2, resolution)
     dims = prob.m if prob.symmetric else 2 * prob.m
-    if len(values) ** dims > _GRID_BUDGET:
-        raise ValidationError(f"grid of {len(values)}^{dims} points exceeds the budget")
-    pr = np.asarray(prob.priors)
+    n = len(values)
+    if n**dims > _GRID_BUDGET:
+        raise ValidationError(f"grid of {n}^{dims} points exceeds the budget")
+    pr = prob.priors
+    place = n ** np.arange(dims - 1, -1, -1)  # last coordinate varies fastest
     best = -1.0
-    for combo in itertools.product(values, repeat=dims):
-        if prob.symmetric:
-            row = np.asarray(combo)
-            r = np.vstack([row, row])
-        else:
-            r = np.asarray(combo).reshape(2, prob.m)
-        if np.any(r.sum(axis=1) > 1.0):
-            continue
-        if not _is_feasible(prob, r, None, DEFAULT_TOL):
-            continue
-        val = float(np.sum(pr * r.sum(axis=1)))
-        if val > best:
-            best = val
+    for start in range(0, n**dims, _GRID_CHUNK):
+        index = np.arange(start, min(start + _GRID_CHUNK, n**dims))
+        coords = values[index[:, None] // place % n]
+        r = np.stack([coords, coords], axis=1) if prob.symmetric else coords.reshape(-1, 2, prob.m)
+        ok = _grid_feasible(prob, r, DEFAULT_TOL)
+        if ok.any():
+            sums = r[ok].sum(axis=-1)
+            best = max(best, float(np.max(pr[0] * sums[:, 0] + pr[1] * sums[:, 1])))
     if best < 0.0:
         raise NumericalError("no feasible grid point found; the zero machine should be feasible")
     return best
@@ -296,9 +317,10 @@ def discrimination_convergence(alpha_abs: float, beta_abs: float, m_max: int) ->
     out: list[tuple[int, float]] = []
     for m in range(1, m_max + 1):
         prob = OptimizationProblem("joint", a, b, m)
-        p = np.zeros(m)
-        cap = _row_cap(prob)
-        best = _largest_feasible_scale(prob, lambda v, _m=m: _slot_matrix(_m, _m, v), cap, p)
+        best = _scale_limit(prob, _slot_matrix(m, m, 1.0), _row_cap(prob), probes_pinned=True)
+        spec = _spec(prob, _slot_matrix(m, m, best), np.zeros(m))
+        if not feasible(spec).feasible:
+            raise NumericalError("single-slot optimum failed the feasibility assertion")
         out.append((m, best))
     return out
 

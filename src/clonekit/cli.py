@@ -120,6 +120,24 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _number(value, name: str, integer: bool = False):
+    """A numeric task field: a finite float, or an int when ``integer`` (integral values only)."""
+    if not _is_number(value) or (isinstance(value, float) and not math.isfinite(value)):
+        raise ValidationError(f"{name} must be a finite {'integer' if integer else 'number'}, got {value!r}")
+    if not integer:
+        return float(value)
+    if value != int(value):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _priors(task: dict) -> tuple[float, float]:
+    value = task.get("priors", [0.5, 0.5])
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValidationError(f"priors must be a list of two numbers, got {value!r}")
+    return tuple(_number(v, "priors entry") for v in value)
+
+
 def _parse_complex(value, name: str) -> complex:
     if _is_number(value):
         return complex(value)
@@ -140,6 +158,8 @@ def _tolerance(value, source: str) -> float:
 
 
 def _require(task: dict, key: str):
+    if not isinstance(task, dict):
+        raise ValidationError(f"expected an object holding field {key!r}, got {task!r}")
     if key not in task:
         raise ValidationError(f"task is missing required field {key!r}")
     return task[key]
@@ -151,7 +171,7 @@ def _spec_from_task(d: dict, tol: float, default_kind: str | None = None) -> Mac
         raise ValidationError("task is missing required field 'kind'")
     alpha = _parse_complex(_require(d, "alpha"), "alpha")
     beta = _parse_complex(d["beta"], "beta") if d.get("beta") is not None else None
-    m = int(_require(d, "m"))
+    m = _number(_require(d, "m"), "m", integer=True)
     r = _require(d, "r")
     p = d.get("p")
     if p is not None:
@@ -210,8 +230,8 @@ def _problem_from_task(d: dict) -> OptimizationProblem:
         kind=kind,
         alpha=alpha,
         beta=beta,
-        m=int(_require(d, "m")),
-        priors=tuple(d.get("priors", [0.5, 0.5])),
+        m=_number(_require(d, "m"), "m", integer=True),
+        priors=_priors(d),
         symmetric=bool(d.get("symmetric", True)),
     )
 
@@ -239,7 +259,10 @@ def _cmd_feasibility(task: dict, tol: float, seed) -> dict:
 
 def _cmd_optimize(task: dict, tol: float, seed) -> dict:
     prob = _problem_from_task(task)
-    res = optimize(prob, tol, oracle_resolution=task.get("oracle_resolution"))
+    resolution = task.get("oracle_resolution")
+    if resolution is not None:
+        resolution = _number(resolution, "oracle_resolution")
+    res = optimize(prob, tol, oracle_resolution=resolution)
     return {
         "value": res.value,
         "r_star": res.r_star,
@@ -287,7 +310,7 @@ def _synthesize(task: dict, tol: float):
         "copy_fidelities": dist.copy_fidelities,
         "failure": dist.failure,
         "failure_amplitudes": rz.failure_amplitudes,
-        "global_success": global_success(dist, tuple(task.get("priors", [0.5, 0.5]))),
+        "global_success": global_success(dist, _priors(task)),
     }
     if task.get("emit_matrix"):
         results["matrix"] = rz.matrix
@@ -303,8 +326,8 @@ def _cmd_simulate(task: dict, tol: float, seed) -> dict:
     if seed is None:
         raise ValidationError("simulate requires a seed (--seed or task field)")
     dist, results = _synthesize(task, tol)
-    shots = int(task.get("shots", 10000))
-    input_index = int(task.get("input_index", 0))
+    shots = _number(task.get("shots", 10000), "shots", integer=True)
+    input_index = _number(task.get("input_index", 0), "input_index", integer=True)
     results["counts"] = _draw(dist, input_index, shots, seed)
     results["shots"] = shots
     results["input_index"] = input_index
@@ -324,21 +347,23 @@ def _cmd_bounds(task: dict, tol: float, seed) -> dict:
         elif q == "discrimination_bound":
             beta = _parse_complex(_require(task, "beta"), "beta")
             results["discrimination_bound"] = discrimination_bound(
-                abs(alpha), abs(beta), int(task.get("m", 1)), float(task.get("p_m", 0.0))
+                abs(alpha), abs(beta), _number(task.get("m", 1), "m", integer=True),
+                _number(task.get("p_m", 0.0), "p_m"),
             )
         elif q == "advantage":
             beta = _parse_complex(_require(task, "beta"), "beta")
             joint_opt, ncm_opt, delta = ncmsi_advantage(
-                alpha, beta, int(task.get("m", 1)), tuple(task.get("priors", [0.5, 0.5]))
+                alpha, beta, _number(task.get("m", 1), "m", integer=True), _priors(task)
             )
             results["advantage"] = {"joint_opt": joint_opt, "ncm_opt": ncm_opt, "delta": delta}
         elif q == "convergence":
             beta = _parse_complex(_require(task, "beta"), "beta")
-            pairs = discrimination_convergence(abs(alpha), abs(beta), int(task.get("m_max", 8)))
+            m_max = _number(task.get("m_max", 8), "m_max", integer=True)
+            pairs = discrimination_convergence(abs(alpha), abs(beta), m_max)
             results["convergence"] = [[m, v] for m, v in pairs]
         elif q == "single_slot_optimum":
             beta = _parse_complex(_require(task, "beta"), "beta")
-            m = int(task.get("m", 1))
+            m = _number(task.get("m", 1), "m", integer=True)
             pairs = discrimination_convergence(abs(alpha), abs(beta), m)
             results["single_slot_optimum"] = pairs[-1][1]
         else:
@@ -348,6 +373,8 @@ def _cmd_bounds(task: dict, tol: float, seed) -> dict:
 
 def _cmd_uqcm(task: dict, tol: float, seed) -> dict:
     amps = task.get("amplitudes", [1.0, 0.0])
+    if not isinstance(amps, (list, tuple)) or len(amps) != 2:
+        raise ValidationError(f"amplitudes must be a list of two amplitudes, got {amps!r}")
     a = _parse_complex(amps[0], "amplitudes[0]")
     b = _parse_complex(amps[1], "amplitudes[1]")
     return {"distance": uqcm_distance(a, b)}
@@ -387,16 +414,18 @@ def _cmd_sweep(task: dict, tol: float, seed) -> dict:
     inner_command = _require(inner, "command")
     if inner_command == "sweep":
         raise ValidationError("sweeps cannot nest")
+    if inner_command not in COMMANDS:
+        raise ValidationError(f"unknown sweep command {inner_command!r}; pick from {COMMANDS}")
     handler = _HANDLERS[inner_command]
 
     grids = []
     for axis in axes:
         name = _require(axis, "name")
-        steps = int(_require(axis, "steps"))
+        steps = _number(_require(axis, "steps"), "steps", integer=True)
         if not 1 <= steps <= _SWEEP_MAX_POINTS:
             raise ValidationError(f"axis {name!r} steps must lie in 1..{_SWEEP_MAX_POINTS}")
-        start = float(_require(axis, "start"))
-        stop = float(_require(axis, "stop"))
+        start = _number(_require(axis, "start"), "start")
+        stop = _number(_require(axis, "stop"), "stop")
         values = np.linspace(start, stop, steps) if steps > 1 else np.array([start])
         leaf = name.split(".")[-1]
         if leaf in _INT_FIELDS:
@@ -514,7 +543,9 @@ def main(argv=None) -> int:
             tol = DEFAULT_TOL
         seed = args.seed if args.seed is not None else task.get("seed")
         if seed is not None:
-            seed = int(seed)
+            seed = _number(seed, "seed", integer=True)
+            if seed < 0:
+                raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
 
         task["command"] = args.command
         task["tolerance"] = tol

@@ -142,20 +142,24 @@ class FeasibilityReport:
     p_used: np.ndarray
 
 
+def _overlap_powers(kind: str, m: int) -> np.ndarray:
+    """Power of alpha carried by slots 1..m: k for supplementary, k + 1 otherwise."""
+    ks = np.arange(1, m + 1)
+    return ks if kind == "supplementary" else ks + 1
+
+
+def _target(kind: str, alpha: complex, beta: complex | None) -> complex:
+    """Input overlap the residual off-diagonal starts from."""
+    if kind == "joint":
+        return alpha * beta
+    return alpha if kind == "ncm" else beta
+
+
 def _off_diag_terms(spec: MachineSpec) -> tuple[complex, np.ndarray]:
     """Target overlap T and per-slot coefficients c with off-diag = T - sum c_k p_k."""
     amps = np.sqrt(spec.r[0] * spec.r[1])
-    ks = np.arange(1, spec.m + 1)
-    if spec.kind == "joint":
-        t = spec.alpha * spec.beta
-        c = amps * spec.alpha ** (ks + 1)
-    elif spec.kind == "ncm":
-        t = spec.alpha
-        c = amps * spec.alpha ** (ks + 1)
-    else:
-        t = spec.beta
-        c = amps * spec.alpha**ks
-    return complex(t), c
+    c = amps * spec.alpha ** _overlap_powers(spec.kind, spec.m)
+    return complex(_target(spec.kind, spec.alpha, spec.beta)), c
 
 
 def _dominance_margin(spec: MachineSpec) -> float:
@@ -263,3 +267,73 @@ def reduced_inequality(spec: MachineSpec) -> tuple[float, float, bool]:
         raise ValidationError("dominance premise violated; use feasible() instead")
     lhs, rhs = _reduced_sides(spec)
     return lhs, rhs, lhs >= rhs
+
+
+# ---------------------------------------------------------------------------
+# closed-form boundary kernel
+#
+# With optimal probe overlaps the off-diagonal modulus is max(0, |T| - S),
+# S = sum_k sqrt(r_1k r_2k) |alpha|^pow_k, so the determinant of the machines
+# x * r along a ray is (1 - x R1)(1 - x R2) - max(0, |T| - x S)^2.  Below the
+# kink |T|/S that is the quadratic
+#
+#     (R1 R2 - S^2) x^2 - (R1 + R2 - 2 |T| S) x + (1 - |T|^2),
+#
+# convex (S^2 <= R1 R2 by Cauchy-Schwarz) and nonnegative at x = 0.  The
+# feasible x form one interval from 0 (the test is sqrt((1 - x R1)(1 - x R2)),
+# a concave function, against |T| - x S, an affine one), so every ray
+# boundary is an exact root.
+
+
+def ray_terms(kind: str, alpha: complex, beta: complex | None, r) -> tuple:
+    """(R1, R2, S, |T|) of machines r, which may carry leading batch axes (..., 2, m).
+
+    R_i are the row sums, S = sum_k sqrt(r_1k r_2k) |alpha|^pow_k is the most
+    the success branches can cancel of the off-diagonal, and |T| the modulus
+    of the kind's target overlap.  Along x * r, R1, R2 and S scale by x and
+    |T| stays fixed.
+    """
+    if kind not in KINDS:
+        raise ValidationError(f"unknown machine kind {kind!r}")
+    r = np.asarray(r, dtype=float)
+    weights = abs(alpha) ** _overlap_powers(kind, r.shape[-1])
+    s = (np.sqrt(r[..., 0, :] * r[..., 1, :]) * weights).sum(axis=-1)
+    return r[..., 0, :].sum(axis=-1), r[..., 1, :].sum(axis=-1), s, abs(_target(kind, alpha, beta))
+
+
+def closed_form_det(r1, r2, s, t):
+    """Residual determinant (1 - R1)(1 - R2) - max(0, |T| - S)^2 with optimal probes."""
+    return (1.0 - r1) * (1.0 - r2) - np.maximum(0.0, t - s) ** 2
+
+
+def _stable_roots(qa, qb, qc):
+    """Real roots (lo, hi) of qa x^2 + qb x + qc over arrays; NaN where there are none.
+
+    Cancellation-free (citardauq) form: q = -(qb + sign(qb) sqrt(disc)) / 2,
+    roots q / qa and qc / q, so neither root loses digits when 4 qa qc is
+    small against qb^2.  qa = 0 leaves the linear root qc / q = -qc / qb and
+    an infinite one.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
+        x1, x2 = q / qa, qc / q
+    return np.fmin(x1, x2), np.fmax(x1, x2)
+
+
+def ray_limit(r1, r2, s, t, cap=np.inf):
+    """Largest x in [0, cap] at which x * r passes both diagonal tests and the determinant test.
+
+    Arguments are the :func:`ray_terms` of the direction r and broadcast
+    against each other.  The limit is the smallest root of the ray quadratic
+    in [0, |T|/S) when there is one; otherwise the determinant stays
+    nonnegative until the diagonal limit 1/max(R1, R2).  Scalar arguments
+    run as a length-1 call and return a float.
+    """
+    scalar = all(np.ndim(v) == 0 for v in (r1, r2, s, t, cap))
+    r1, r2, s, t = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (r1, r2, s, t))
+    lo, _ = _stable_roots(r1 * r2 - s * s, 2.0 * t * s - r1 - r2, 1.0 - t * t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kink = t / s  # inf for S = 0 < |T|; NaN for S = |T| = 0, where only the diagonal binds
+        diag = 1.0 / np.maximum(r1, r2)
+    limit = np.minimum(np.where((lo >= 0.0) & (lo < kink), lo, diag), cap)
+    return float(limit[0]) if scalar else limit

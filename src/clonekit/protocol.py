@@ -6,14 +6,15 @@ machine run on failure, coordinated by classical communication, without
 losing total success probability.  Conversely, any feasible pair composes
 into a feasible joint machine.  Both directions are constructive here.
 
-The decomposition's hard case searches for a root of the ratio
+The decomposition's hard case pins the supplementary member exactly on its
+feasibility boundary along the ray r_B = t * r.  With optimal probe
+overlaps the member's residual determinant there is
 
-    H(t) = sqrt((1 - t R1)(1 - t R2)) / (|beta| - t * sum_k S_k |alpha|^k)
+    (1 - t R1)(1 - t R2) - (|beta| - t * sum_k S_k |alpha|^k)^2,
 
-along the ray r_B = t * r, where R_i are the row sums and
-S_k = sqrt(r_k1 r_k2).  H(0) = 1/|beta| >= 1, and when H(1) < 1 the
-intermediate value theorem provides t* with H(t*) = 1, which pins the
-supplementary member exactly on its feasibility boundary.
+with R_i the row sums and S_k = sqrt(r_k1 r_k2), a quadratic in t that is
+nonnegative at t = 0 and negative at t = 1, so the boundary t* is its exact
+root (:func:`clonekit.machine.ray_limit`).
 """
 
 from __future__ import annotations
@@ -23,10 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, NumericalError, ValidationError
-from .machine import MachineSpec, feasible, optimal_probe_overlaps
+from .machine import MachineSpec, feasible, optimal_probe_overlaps, ray_limit, ray_terms
 from .qlinalg import DEFAULT_TOL
-
-_BISECTION_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -45,30 +44,13 @@ class TwoStepPlan:
     root_t: float
 
 
-@dataclass(frozen=True)
-class HFunction:
-    """Ray restriction of the feasibility ratio for one joint machine.
-
-    ``couplings[k]`` is r_k2 / r_k1 where defined (0 for empty slots); the
-    ray scales both rows of r by the same parameter, so the second row
-    stays coupled to the first.
-    """
-
-    base: MachineSpec
-    couplings: np.ndarray
-
-    @classmethod
-    def from_spec(cls, spec: MachineSpec) -> "HFunction":
-        if spec.kind != "joint":
-            raise ValidationError("H is defined for joint machines")
-        r1, r2 = spec.r
-        c = np.divide(r2, r1, out=np.zeros_like(r2), where=r1 > 0)
-        c.setflags(write=False)
-        return cls(base=spec, couplings=c)
-
-
 def f_value(x, y, alpha_abs: float, beta_abs: float) -> float:
-    """sqrt((1 - sum x)(1 - sum y)) / (beta_abs - sum_k sqrt(x_k y_k) alpha_abs^k)."""
+    """The paper's feasibility ratio F.
+
+    sqrt((1 - sum x)(1 - sum y)) / (beta_abs - sum_k sqrt(x_k y_k) alpha_abs^k);
+    with optimal probe overlaps and a positive denominator, the
+    supplementary member with rows x, y is feasible exactly where F >= 1.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
@@ -81,14 +63,6 @@ def f_value(x, y, alpha_abs: float, beta_abs: float) -> float:
         raise NumericalError("nonpositive denominator in feasibility ratio")
     num = np.sqrt(max(1.0 - x.sum(), 0.0) * max(1.0 - y.sum(), 0.0))
     return float(num / denom)
-
-
-def h_value(h: HFunction, t: float) -> float:
-    """Feasibility ratio along the scaling ray; h(0) = 1/|beta|."""
-    if not 0.0 <= t <= 1.0:
-        raise ValidationError("t must lie in [0, 1]")
-    spec = h.base
-    return f_value(t * spec.r[0], t * spec.r[1], abs(spec.alpha), abs(spec.beta))
 
 
 def _case1_fill(r: np.ndarray) -> np.ndarray:
@@ -117,9 +91,9 @@ def decompose_two_step(joint: MachineSpec, tol: float = DEFAULT_TOL) -> TwoStepP
 
     Case 1 (|beta| below the success sum): the supplementary member can be
     pushed to certain success, so r_B fills to row sums of 1 and r_A = 0.
-    Case 2-I (ratio at t=1 already >= 1): r_B = r, r_A = 0.
-    Case 2-II: bisection finds t* with H(t*) = 1; then r_B = t* r and
-    r_A = (r - r_B) / (1 - sum r_B) row-wise.
+    Case 2-I (the member r_B = r is already feasible): r_B = r, r_A = 0.
+    Case 2-II: t* is the exact root of the member's determinant along the
+    ray t * r; then r_B = t* r and r_A = (r - r_B) / (1 - sum r_B) row-wise.
     """
     if joint.kind != "joint":
         raise ValidationError("decompose_two_step expects a joint machine")
@@ -127,34 +101,20 @@ def decompose_two_step(joint: MachineSpec, tol: float = DEFAULT_TOL) -> TwoStepP
     if not report.feasible:
         raise InfeasibleError("joint machine is infeasible; nothing to decompose")
 
-    a = abs(joint.alpha)
-    b = abs(joint.beta)
-    amps = np.sqrt(joint.r[0] * joint.r[1])
-    ks = np.arange(1, joint.m + 1)
-    success_sum = float(np.sum(amps * a**ks))
+    r1, r2, s, b = ray_terms("supplementary", joint.alpha, joint.beta, joint.r)
     zeros = np.zeros_like(joint.r)
 
-    if b <= success_sum + tol:
+    if b <= s + tol:
         r_b = _case1_fill(joint.r)
         r_a = zeros
         case_tag, root_t = "case1", 1.0
     else:
-        h = HFunction.from_spec(joint)
-        if h_value(h, 1.0) >= 1.0:
+        root_t = ray_limit(r1, r2, s, b, 1.0)
+        if root_t >= 1.0:
             r_b = joint.r.copy()
             r_a = zeros
-            case_tag, root_t = "case2_I", 1.0
+            case_tag = "case2_I"
         else:
-            lo, hi = 0.0, 1.0  # h(lo) >= 1 > h(hi)
-            if h_value(h, lo) < 1.0:
-                raise NumericalError("no sign change for the boundary root; premise violated")
-            for _ in range(_BISECTION_STEPS):
-                mid = 0.5 * (lo + hi)
-                if h_value(h, mid) >= 1.0:
-                    lo = mid
-                else:
-                    hi = mid
-            root_t = lo
             r_b = root_t * joint.r
             denom = 1.0 - r_b.sum(axis=1)
             if np.any(denom <= tol):

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from clonekit.machine import MachineSpec, dominance_premise, feasible
-
-_GEN_BISECTION = 40
+from clonekit.machine import MachineSpec, dominance_premise, feasible, ray_limit, ray_terms
 
 
 def rand_overlap(rng, lo: float = 0.0, hi: float = 0.95, real: bool = False) -> complex:
@@ -28,17 +26,8 @@ def _spec(kind: str, alpha, beta, m: int, r) -> MachineSpec:
 
 
 def boundary_scale(kind: str, alpha, beta, m: int, r0: np.ndarray) -> float:
-    """Largest t with t*r0 feasible; slot-proportional scaling is monotone."""
-    if feasible(_spec(kind, alpha, beta, m, r0)).feasible:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(_GEN_BISECTION):
-        mid = 0.5 * (lo + hi)
-        if feasible(_spec(kind, alpha, beta, m, mid * r0)).feasible:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    """Largest t <= 1 with t*r0 feasible: the exact ray root of the closed-form kernel."""
+    return ray_limit(*ray_terms(kind, alpha, beta, r0), 1.0)
 
 
 def random_feasible_spec(rng, kind: str | None = None, m: int | None = None,

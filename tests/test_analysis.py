@@ -11,8 +11,11 @@ from clonekit.analysis import (
     optimize,
     uqcm_distance,
 )
+from clonekit.analysis import _grid_feasible
 from clonekit.errors import NumericalError, ValidationError
-from clonekit.machine import MachineSpec, feasible
+from clonekit.machine import MachineSpec, closed_form_det, feasible, ray_limit, ray_terms
+from clonekit.qlinalg import DEFAULT_TOL
+from helpers import rand_overlap
 
 
 class TestDuanGuoBound:
@@ -83,6 +86,18 @@ class TestOptimize:
         asym = optimize(OptimizationProblem("ncm", 0.6, None, 1, priors=(0.9, 0.1), symmetric=False))
         assert asym.value >= sym.value - 1e-9
 
+    def test_asymmetric_never_below_symmetric(self):
+        rng = np.random.default_rng(137)
+        for _ in range(200):
+            alpha, beta = rand_overlap(rng), rand_overlap(rng, 0.05, 1.0)
+            m = int(rng.integers(1, 4))
+            p0 = rng.uniform(0.0, 1.0)
+            priors = (p0, 1.0 - p0)
+            sym = optimize(OptimizationProblem("joint", alpha, beta, m, priors))
+            asym = optimize(OptimizationProblem("joint", alpha, beta, m, priors, symmetric=False))
+            assert asym.value >= sym.value - 1e-12
+            assert feasible(MachineSpec("joint", alpha, beta, m, asym.r_star)).feasible
+
     def test_bad_priors_rejected(self):
         with pytest.raises(ValidationError):
             OptimizationProblem("ncm", 0.5, None, 1, priors=(0.7, 0.2))
@@ -96,6 +111,34 @@ class TestGridOracle:
     def test_zero_machine_floor(self):
         val = grid_oracle(OptimizationProblem("supplementary", 0.5, 1.0, 1), 0.05)
         assert val == pytest.approx(0.0, abs=1e-12)
+
+    def test_batched_verdict_matches_feasible(self):
+        rng = np.random.default_rng(139)
+        verdicts = {True: 0, False: 0}
+        while sum(verdicts.values()) < 1000:
+            kind = ("joint", "ncm", "supplementary")[rng.integers(3)]
+            m = int(rng.integers(1, 3))
+            prob = OptimizationProblem(kind, rand_overlap(rng), rand_overlap(rng, 0.0, 1.0), m)
+            # points of the resolution-0.05 grid, some on or past total success 1
+            steps = rng.integers(0, 21, size=(2, m))
+            if rng.random() < 0.5:
+                steps = np.floor(steps * rng.uniform(0.0, 1.0))
+            r = steps * 0.05
+            det = closed_form_det(*ray_terms(kind, prob.alpha, prob.beta, r))
+            if abs(det + DEFAULT_TOL) < 1e-12:  # the verdict's own edge
+                continue
+            try:
+                spec = MachineSpec(kind, prob.alpha, prob.beta, m, r)
+                want = bool(np.all(r.sum(axis=1) <= 1.0)) and feasible(spec).feasible
+            except ValidationError:
+                want = False
+            assert bool(_grid_feasible(prob, r[None], DEFAULT_TOL)[0]) is want
+            verdicts[want] += 1
+        assert min(verdicts.values()) > 100
+        # the joint strict-sum rule: det = 0 at total success 1, yet no such machine exists
+        r = np.array([[1.0], [1.0]])
+        assert not _grid_feasible(OptimizationProblem("joint", 0.5, 0.2, 1), r[None], DEFAULT_TOL)[0]
+        assert _grid_feasible(OptimizationProblem("joint", 0.5, 0.0, 1), r[None], DEFAULT_TOL)[0]
 
     def test_budget_enforced(self):
         with pytest.raises(ValidationError):
@@ -130,6 +173,27 @@ class TestDiscriminationConvergence:
     def test_beta_one_reduces_to_original_overlap(self):
         seq = discrimination_convergence(0.4, 1.0, 4)
         assert seq[-1][1] == pytest.approx(1 - 0.4, abs=1e-9)
+
+    @pytest.mark.parametrize("a, b", [(0.6, 0.5), (0.3, 0.8)])
+    def test_optimal_probe_single_slot_matches_bound(self, a, b):
+        # Companion to criterion 8: with optimal probes (not pinned to 0) the
+        # single-slot-m optimum is (1 - |ab|)/(1 - |a|^(m+1)), capped below
+        # total success 1, and it falls strictly toward the ceiling 1 - |ab|.
+        cap = 1.0 - 1e-12
+        limit = 1.0 - a * b
+        values = []
+        for m in range(1, 9):
+            slot = np.zeros((2, m))
+            slot[:, m - 1] = 1.0
+            v = ray_limit(*ray_terms("joint", a, b, slot), cap)
+            assert abs(v - min(cap, discrimination_bound(a, b, m + 1, 1.0))) <= 1e-12
+            assert feasible(MachineSpec("joint", a, b, m, v * slot)).feasible
+            if v < cap:
+                assert not feasible(MachineSpec("joint", a, b, m, (v + 1e-6) * slot)).feasible
+            values.append(v)
+        assert all(later < earlier for earlier, later in zip(values, values[1:]))
+        assert all(v > limit for v in values)
+        assert values[-1] - limit < 0.01
 
     def test_domain_validated(self):
         with pytest.raises(ValidationError):

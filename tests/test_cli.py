@@ -398,3 +398,36 @@ class TestSimulateCounts:
         spec = MachineSpec("joint", 0.5, 0.9, 2, payload["r"])
         rz = realize(spec, canonical_pair(0.5), canonical_pair(0.9))
         assert json.loads(out)["results"]["counts"] == sample(rz, 1, 5000, seed=9)
+
+
+SIM_TASK = {"kind": "joint", "alpha": 0.5, "beta": 0.9, "m": 1, "r": [[0.5], [0.5]], "seed": 1}
+MALFORMED_FIELDS = {
+    "sweep of an unknown command": ("sweep", {"run": {"command": "teleport"},
+                                              "sweep": [{"name": "alpha", "start": 0.1, "stop": 0.2, "steps": 2}]}),
+    "scalar amplitudes": ("uqcm", {"amplitudes": 0.5}),
+    "short amplitudes": ("uqcm", {"amplitudes": [1.0]}),
+    "string m": ("feasibility", {"kind": "ncm", "alpha": 0.5, "m": "x", "r": [[0.1], [0.1]]}),
+    "fractional m": ("feasibility", {"kind": "ncm", "alpha": 0.5, "m": 1.7, "r": [[0.1], [0.1]]}),
+    "string priors": ("optimize", {"kind": "ncm", "alpha": 0.5, "m": 1, "priors": "ab"}),
+    "string oracle_resolution": ("optimize", {"kind": "ncm", "alpha": 0.5, "m": 1, "oracle_resolution": "0.1"}),
+    "string seed": ("simulate", {**SIM_TASK, "seed": "abc"}),
+    "negative seed": ("simulate", {**SIM_TASK, "seed": -1}),
+    "string shots": ("simulate", {**SIM_TASK, "shots": "many"}),
+    "string input_index": ("simulate", {**SIM_TASK, "input_index": "x"}),
+}
+
+
+class TestTypedFields:
+    @pytest.mark.parametrize("label", sorted(MALFORMED_FIELDS))
+    def test_malformed_field_exits_2(self, tmp_path, capsys, label):
+        command, payload = MALFORMED_FIELDS[label]
+        code, _, err = run(capsys, [command, "--task", write_task(tmp_path, "t.json", payload)])
+        assert code == 2
+        assert err.startswith("clonekit: validation error:")
+        assert "Traceback" not in err
+
+    def test_integral_float_accepted(self, tmp_path, capsys):
+        task = write_task(tmp_path, "t.json", {**FEAS_TASK, "m": 1.0})
+        code, out, _ = run(capsys, ["feasibility", "--task", task])
+        assert code == 0
+        assert json.loads(out)["results"]["feasible"] is True

@@ -7,10 +7,12 @@ from clonekit.machine import (
     dominance_premise,
     feasible,
     optimal_probe_overlaps,
+    ray_limit,
+    ray_terms,
     reduced_inequality,
     residual_gram,
 )
-from helpers import random_dominant_spec, random_feasible_spec
+from helpers import rand_overlap, random_dominant_spec, random_feasible_spec
 
 
 def joint(alpha, beta, r, p=None, m=None):
@@ -234,3 +236,64 @@ class TestReducedInequality:
             assert feasible(spec).feasible is holds
             seen[holds] += 1
         assert seen[True] > 0 and seen[False] > 0
+
+
+def ray_cases(seed: int, kind: str, count: int = 200):
+    """Seeded (alpha, beta, m, direction) rays whose rows sum to 1."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m = int(rng.integers(1, 5))
+        raw = rng.random((2, m)) + 1e-3
+        yield rand_overlap(rng), rand_overlap(rng, 0.05, 1.0), m, raw / raw.sum(axis=1, keepdims=True)
+
+
+def bisect_ray(kind, alpha, beta, m, d, cap, steps=200):
+    """Bisection on feasible() (tolerance 0) for the largest t <= cap with t*d feasible."""
+
+    def ok(t):
+        return feasible(MachineSpec(kind, alpha, None if kind == "ncm" else beta, m, t * d), tol=0.0).feasible
+
+    if ok(cap):
+        return cap
+    lo, hi = 0.0, cap
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # the bracket is two adjacent floats; further steps change nothing
+            break
+        lo, hi = (mid, hi) if ok(mid) else (lo, mid)
+    return lo
+
+
+class TestRayLimit:
+    CAP = 0.999  # rows of t*d stay below total success 1
+
+    @pytest.mark.parametrize("kind", ["joint", "ncm", "supplementary"])
+    def test_matches_bisection_on_feasible(self, kind):
+        interior = 0
+        for alpha, beta, m, d in ray_cases(211, kind):
+            t = ray_limit(*ray_terms(kind, alpha, beta, d), self.CAP)
+            assert abs(t - bisect_ray(kind, alpha, beta, m, d, self.CAP)) <= 1e-12
+            interior += t < self.CAP
+        assert interior > 50
+
+    def test_array_call_matches_scalar_calls_bitwise(self):
+        terms = np.array([
+            ray_terms(kind, alpha, beta, d)
+            for kind in ("joint", "ncm", "supplementary")
+            for alpha, beta, m, d in ray_cases(223, kind)
+        ])
+        caps = np.linspace(0.5, 1.0, len(terms))
+        batched = ray_limit(*terms.T, caps)
+        single = np.array([ray_limit(*row, cap) for row, cap in zip(terms, caps)])
+        assert isinstance(single[0], float)
+        assert np.array_equal(batched, single)
+
+    def test_degenerate_rays(self):
+        # empty direction: nothing binds but the cap
+        assert ray_limit(0.0, 0.0, 0.0, 0.5, 0.7) == 0.7
+        # |T| = 1: only the zero machine is feasible
+        assert ray_limit(0.5, 0.5, 0.25, 1.0, 1.0) == 0.0
+        # S = 0 (one row empty): the linear root (1 - |T|^2) / R1
+        assert ray_limit(0.8, 0.0, 0.0, 0.6, 1.0) == pytest.approx(0.64 / 0.8, abs=1e-15)
+        # T = 0: only the diagonal binds
+        assert ray_limit(0.5, 0.8, 0.3, 0.0, 2.0) == pytest.approx(1.25, abs=1e-15)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from clonekit.errors import InfeasibleError, ValidationError
-from clonekit.machine import MachineSpec, feasible
-from clonekit.protocol import HFunction, compose, decompose_two_step, f_value, h_value, strategy_success
+from clonekit.errors import InfeasibleError, NumericalError, ValidationError
+from clonekit.machine import MachineSpec, closed_form_det, feasible, ray_limit, ray_terms
+from clonekit.protocol import compose, decompose_two_step, f_value, strategy_success
 from helpers import random_dominant_spec, random_feasible_spec, random_member_pair
 
 
@@ -36,32 +36,50 @@ class TestFValue:
             f_value([0.9], [0.9], 0.9, 0.1)
 
 
+def supp_ray(spec):
+    """Ray terms of the supplementary member t * r of a joint machine."""
+    return ray_terms("supplementary", spec.alpha, spec.beta, spec.r)
+
+
 class TestHValue:
+    """H(t), the ratio F along the ray t * r, and the kernel that solves H(t*) = 1 exactly."""
+
     def test_endpoints(self):
-        h = HFunction.from_spec(WORKED)
-        assert h_value(h, 0.0) == pytest.approx(1 / 0.9)
-        assert h_value(h, 1.0) == pytest.approx(10 / 13)
+        r = WORKED.r
+        assert f_value(0.0 * r[0], 0.0 * r[1], 0.5, 0.9) == pytest.approx(1 / 0.9)
+        assert f_value(r[0], r[1], 0.5, 0.9) == pytest.approx(10 / 13)
+        # H(0) > 1 > H(1): the determinant changes sign along the ray
+        r1, r2, s, t = supp_ray(WORKED)
+        assert closed_form_det(0.0, 0.0, 0.0, t) > 0.0
+        assert closed_form_det(r1, r2, s, t) < 0.0
 
     def test_worked_root(self):
-        h = HFunction.from_spec(WORKED)
-        assert h_value(h, 0.4) == pytest.approx(1.0)
+        # 0.1875 t^2 - 0.55 t + 0.19 = 0
+        assert abs(ray_limit(*supp_ray(WORKED), 1.0) - 0.4) <= 1e-15
+        assert f_value(0.4 * WORKED.r[0], 0.4 * WORKED.r[1], 0.5, 0.9) == pytest.approx(1.0)
+        assert abs(ray_limit(*supp_ray(sym_joint(0.5, 0.9, [0.2, 0.3])), 1.0) - 4 / 13) <= 1e-15
 
     def test_couplings(self):
+        # unequal rows and an empty slot: R_i are the row sums, S couples the rows slot by slot
         spec = MachineSpec("joint", 0.5, 0.9, 2, [[0.4, 0.0], [0.2, 0.2]])
-        h = HFunction.from_spec(spec)
-        np.testing.assert_allclose(h.couplings, [0.5, 0.0])
+        r1, r2, s, t = supp_ray(spec)
+        assert (r1, r2, t) == (pytest.approx(0.4), pytest.approx(0.4), pytest.approx(0.9))
+        assert s == pytest.approx(np.sqrt(0.4 * 0.2) * 0.5)
 
     def test_requires_joint(self):
         with pytest.raises(ValidationError):
-            HFunction.from_spec(MachineSpec("ncm", 0.5, None, 1, [[0.1], [0.1]]))
+            decompose_two_step(MachineSpec("ncm", 0.5, None, 1, [[0.1], [0.1]]))
+        with pytest.raises(ValidationError):
+            ray_terms("teleport", 0.5, 0.9, [[0.1], [0.1]])
 
     def test_ray_degenerates_outside_case2(self):
-        from clonekit.errors import NumericalError
-
-        # |beta| below the success sum: the ray's denominator hits zero
-        h = HFunction.from_spec(sym_joint(0.5, 0.1, [0.3]))
+        # |beta| below the success sum: the ratio's denominator hits zero, while
+        # the determinant stays nonnegative along the whole ray
+        spec = sym_joint(0.5, 0.1, [0.3])
         with pytest.raises(NumericalError):
-            h_value(h, 1.0)
+            f_value(spec.r[0], spec.r[1], 0.5, 0.1)
+        assert ray_limit(*supp_ray(spec), 1.0) == 1.0
+        assert decompose_two_step(spec).case_tag == "case1"
 
 
 class TestDecompose:
