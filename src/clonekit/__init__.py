@@ -5,52 +5,50 @@ machine into a classically-coordinated two-step protocol and the reverse
 composition, explicit unitary synthesis with exact measurement statistics,
 and success-probability optimization with closed-form and brute-force
 cross-checks.
+
+The public names below load their submodule on first use (PEP 562), so a
+process that runs one CLI command imports only the modules it needs.
 """
 
-from .analysis import (
-    OptimizationProblem,
-    OptimizationResult,
-    discrimination_bound,
-    discrimination_convergence,
-    duan_guo_bound,
-    grid_oracle,
-    ncmsi_advantage,
-    optimize,
-    uqcm_distance,
-)
-from .errors import CloneKitError, InfeasibleError, NumericalError, ValidationError
-from .machine import (
-    FeasibilityReport,
-    MachineSpec,
-    dominance_premise,
-    feasible,
-    optimal_probe_overlaps,
-    ray_limit,
-    ray_terms,
-    reduced_inequality,
-    residual_gram,
-)
-from .protocol import TwoStepPlan, compose, decompose_two_step, f_value, strategy_success
-from .qlinalg import DEFAULT_TOL, cholesky_psd2, extend_to_unitary, inner, psd2_check, tensor
-from .states import (
-    PureState,
-    SpaceLayout,
-    basis_state,
-    canonical_pair,
-    embed_input,
-    overlap,
-    qubit,
-    target_output,
-    tensor_power,
-)
-from .synthesis import OutcomeDistribution, UnitaryRealization, exact_statistics, global_success, realize, sample
+import importlib
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "analysis": (
+        "OptimizationProblem", "OptimizationResult", "discrimination_bound",
+        "discrimination_convergence", "discrimination_convergence_many", "duan_guo_bound", "grid_oracle",
+        "ncmsi_advantage", "ncmsi_advantage_many", "optimize", "optimize_many", "uqcm_distance",
+    ),
+    "errors": (
+        "CloneKitError", "InfeasibleError", "NumericalError", "ValidationError",
+    ),
+    "machine": (
+        "FeasibilityReport", "MachineBatch", "MachineSpec", "dominance_premise", "feasibility_core", "feasible",
+        "optimal_probe_overlaps", "ray_limit", "ray_terms", "reduced_inequality", "residual_gram",
+    ),
+    "protocol": (
+        "TwoStepPlan", "compose", "decompose_many", "decompose_two_step", "f_value", "strategy_success",
+    ),
+    "qlinalg": (
+        "DEFAULT_TOL", "cholesky_psd2", "extend_to_unitary", "inner", "psd2_check", "tensor",
+    ),
+    "states": (
+        "PureState", "SpaceLayout", "basis_state", "canonical_pair", "embed_input", "overlap",
+        "qubit", "target_output", "tensor_power",
+    ),
+    "synthesis": (
+        "OutcomeDistribution", "UnitaryRealization", "exact_statistics", "global_success",
+        "realize", "sample",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = [
     "CloneKitError",
     "DEFAULT_TOL",
     "FeasibilityReport",
+    "MachineBatch",
     "InfeasibleError",
     "MachineSpec",
     "NumericalError",
@@ -66,22 +64,27 @@ __all__ = [
     "canonical_pair",
     "cholesky_psd2",
     "compose",
+    "decompose_many",
     "decompose_two_step",
     "discrimination_bound",
     "discrimination_convergence",
+    "discrimination_convergence_many",
     "dominance_premise",
     "duan_guo_bound",
     "embed_input",
     "exact_statistics",
     "extend_to_unitary",
     "f_value",
+    "feasibility_core",
     "feasible",
     "global_success",
     "grid_oracle",
     "inner",
     "ncmsi_advantage",
+    "ncmsi_advantage_many",
     "optimal_probe_overlaps",
     "optimize",
+    "optimize_many",
     "overlap",
     "psd2_check",
     "qubit",
@@ -97,3 +100,17 @@ __all__ = [
     "tensor_power",
     "uqcm_distance",
 ]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -6,25 +6,33 @@ slot pattern (:func:`clonekit.machine.ray_limit`); asymmetric problems run
 coordinate ascent from three fixed starting points, one of them the
 symmetric optimum, and each coordinate step solves the determinant, a
 concave quadratic in u = sqrt(r_ik), for its upper root.  A brute-force grid
-oracle, scored in array chunks from the closed-form determinant, provides an
+oracle, scored in array chunks by the feasibility core, provides an
 independent check on every optimum.
+
+The symmetric optimum, the advantage and the single-slot sweep are
+batched: :func:`optimize_many`, :func:`ncmsi_advantage_many` and
+:func:`discrimination_convergence_many` solve every problem of one kind and
+depth as one array and assert all their optima in one core call, and the
+unbatched functions are their length-1 calls.  Asymmetric problems still
+run one at a time.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, capture, unwrap
 from .machine import (
     MachineSpec,
     _clamp_unit,
     _overlap_powers,
     _stable_roots,
     _target,
-    closed_form_det,
+    feasibility_core,
     feasible,
     ray_limit,
     ray_terms,
@@ -84,6 +92,8 @@ class OptimizationProblem:
         if len(pr) != 2 or any(v < 0 for v in pr) or abs(sum(pr) - 1.0) > 1e-9:
             raise ValidationError("priors must be two nonnegative numbers summing to 1")
         alpha = _clamp_unit(self.alpha, "alpha")
+        if self.kind != "ncm" and self.beta is None:
+            raise ValidationError(f"kind {self.kind!r} requires beta")
         beta = None if self.kind == "ncm" else _clamp_unit(self.beta, "beta")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
@@ -111,15 +121,9 @@ def _row_cap(prob: OptimizationProblem) -> float:
     return 1.0 - _CAP_MARGIN if _strict_sum(prob) else 1.0
 
 
-def _scale_limit(prob: OptimizationProblem, direction: np.ndarray, cap: float,
-                 probes_pinned: bool = False) -> float:
-    """Largest s in [0, cap] with s * direction feasible.
-
-    With every probe overlap pinned to 0 the success branches cancel none of
-    the off-diagonal, which stays |T| along the whole ray (S = 0).
-    """
-    r1, r2, s, t = ray_terms(prob.kind, prob.alpha, prob.beta, direction)
-    return ray_limit(r1, r2, 0.0 if probes_pinned else s, t, cap)
+def _scale_limit(prob: OptimizationProblem, direction: np.ndarray, cap: float) -> float:
+    """Largest s in [0, cap] with s * direction feasible."""
+    return ray_limit(*ray_terms(prob.kind, prob.alpha, prob.beta, direction), cap)
 
 
 def _slot_matrix(m: int, slot: int, value: float) -> np.ndarray:
@@ -128,12 +132,20 @@ def _slot_matrix(m: int, slot: int, value: float) -> np.ndarray:
     return r
 
 
-def _optimize_symmetric(prob: OptimizationProblem, tol: float) -> tuple[np.ndarray, float, list[str]]:
+def _symmetric_limits(kind: str, alpha, beta, m: int, cap) -> np.ndarray:
+    """Symmetric optimum R* per row: the slot-1 ray boundary of each (alpha, beta)."""
     # All weight on slot 1: it carries the largest overlap power, so it
     # relaxes the boundary most per unit of success probability.
-    best = _scale_limit(prob, _slot_matrix(prob.m, 1, 1.0), _row_cap(prob))
-    trace = [f"symmetric slot-1 boundary solve: R* = {best:.17g}"]
-    return _slot_matrix(prob.m, 1, best), best, trace
+    return ray_limit(*ray_terms(kind, alpha, beta, _slot_matrix(m, 1, 1.0)), cap)
+
+
+def _symmetric_trace(best: float) -> str:
+    return f"symmetric slot-1 boundary solve: R* = {best:.17g}"
+
+
+def _optimize_symmetric(prob: OptimizationProblem, tol: float) -> tuple[np.ndarray, float, list[str]]:
+    best = _symmetric_limits(prob.kind, prob.alpha, prob.beta, prob.m, _row_cap(prob))
+    return _slot_matrix(prob.m, 1, best), best, [_symmetric_trace(best)]
 
 
 def _coordinate_limit(r: np.ndarray, i: int, k: int, cap: float, weights: np.ndarray, t: float) -> float:
@@ -157,7 +169,8 @@ def _coordinate_limit(r: np.ndarray, i: int, k: int, cap: float, weights: np.nda
     d = t - (amps.sum() - amps[k])
     if d <= w * math.sqrt(cur):  # already past the kink: only the diagonal binds
         return cap
-    _, hi = _stable_roots(-(fail_j + w * w), 2.0 * w * d, fail_rest * fail_j - d * d)
+    qa, half_b, qc = -(fail_j + w * w), w * d, fail_rest * fail_j - d * d
+    _, hi = _stable_roots(qa, half_b, qc, half_b * half_b - qa * qc)
     hi = float(hi)
     if not 0.0 <= hi < math.inf:  # no real root, or w = 0 with row j at total success 1
         return cur
@@ -222,38 +235,71 @@ def optimize(prob: OptimizationProblem, tol: float = DEFAULT_TOL,
     The returned machine always passes :func:`clonekit.machine.feasible`.
     When ``oracle_resolution`` is given, the grid oracle runs as an
     independent cross-check and its value is attached to the result.
+    A length-1 call of :func:`optimize_many`.
     """
-    if prob.symmetric:
-        r_star, value, trace = _optimize_symmetric(prob, tol)
-    else:
-        r_star, value, trace = _optimize_asymmetric(prob, tol)
+    return unwrap(optimize_many([prob], tol, [oracle_resolution])[0])
+
+
+def optimize_many(probs: list[OptimizationProblem], tol: float = DEFAULT_TOL,
+                  oracle_resolutions: list[float | None] | None = None) -> list:
+    """:func:`optimize` for every problem of a list; one outcome per problem.
+
+    Symmetric problems of one kind and depth are solved as one array and
+    their optima asserted feasible in one core call; asymmetric problems
+    run one at a time.  Each outcome is the result, or the error that
+    problem's :func:`optimize` raises (see :mod:`clonekit.errors`).
+    """
+    out: list = [None] * len(probs)
+    groups: dict[tuple[str, int], list[int]] = {}
+    for i, prob in enumerate(probs):
+        if prob.symmetric:
+            groups.setdefault((prob.kind, prob.m), []).append(i)
+        else:
+            out[i] = capture(_optimize_asymmetric_checked, prob, tol)
+    for (kind, m), rows in groups.items():
+        group = [probs[i] for i in rows]
+        alpha = [prob.alpha for prob in group]
+        beta = None if kind == "ncm" else [prob.beta for prob in group]
+        best = _symmetric_limits(kind, alpha, beta, m, np.array([_row_cap(prob) for prob in group]))
+        r_star = np.zeros((len(group), 2, m))
+        r_star[:, :, 0] = best[:, None]
+        batch = feasibility_core(kind, alpha, beta, m, r_star)
+        ok = batch.verdict(tol)
+        for j, i in enumerate(rows):
+            if batch.fault[j]:
+                out[i] = batch.error(j)
+            elif not ok[j]:
+                out[i] = NumericalError("optimizer returned an infeasible point")
+            else:
+                out[i] = OptimizationResult(r_star=batch.r[j], p_star=batch.p_used[j], value=float(best[j]),
+                                            oracle_value=None, method_trace=(_symmetric_trace(best[j]),))
+    for i, resolution in enumerate(oracle_resolutions or ()):
+        if resolution is not None and isinstance(out[i], OptimizationResult):
+            oracle = capture(grid_oracle, probs[i], resolution)
+            out[i] = oracle if isinstance(oracle, Exception) else dataclasses.replace(out[i], oracle_value=oracle)
+    return out
+
+
+def _optimize_asymmetric_checked(prob: OptimizationProblem, tol: float) -> OptimizationResult:
+    r_star, value, trace = _optimize_asymmetric(prob, tol)
     spec = _spec(prob, r_star)
     report = feasible(spec, tol)
     if not report.feasible:
         raise NumericalError("optimizer returned an infeasible point")
-    oracle = grid_oracle(prob, oracle_resolution) if oracle_resolution is not None else None
-    r_out = np.asarray(r_star, dtype=float)
-    r_out.setflags(write=False)
-    return OptimizationResult(
-        r_star=r_out,
-        p_star=report.p_used,
-        value=float(value),
-        oracle_value=oracle,
-        method_trace=tuple(trace),
-    )
+    return OptimizationResult(r_star=spec.r, p_star=report.p_used, value=float(value),
+                              oracle_value=None, method_trace=tuple(trace))
 
 
 def _grid_feasible(prob: OptimizationProblem, r: np.ndarray, tol: float) -> np.ndarray:
     """Per-matrix verdict of building the spec and calling :func:`feasible` on a stack of r.
 
-    ``r`` has shape (N, 2, m).  A matrix passes when both rows sum to at
-    most 1 (strictly below 1 for a joint problem with alpha*beta != 0, which
-    ``MachineSpec`` would reject), so both diagonal entries are nonnegative,
-    and its closed-form determinant with optimal probe overlaps is >= -tol.
+    ``r`` has shape (N, 2, m).  A matrix passes when the feasibility core
+    accepts it as a machine and finds it feasible, and both rows sum to at
+    most 1 (the core also accepts sums within rounding of 1).
     """
-    r1, r2, s, t = ray_terms(prob.kind, prob.alpha, prob.beta, r)
-    ok = (r1 < 1.0) & (r2 < 1.0) if _strict_sum(prob) else (r1 <= 1.0) & (r2 <= 1.0)
-    return ok & (closed_form_det(r1, r2, s, t) >= -tol)
+    batch = feasibility_core(prob.kind, prob.alpha, prob.beta, prob.m, r)
+    sums = r.sum(axis=-1)
+    return (batch.fault == 0) & batch.verdict(tol) & (sums[:, 0] <= 1.0) & (sums[:, 1] <= 1.0)
 
 
 def grid_oracle(prob: OptimizationProblem, resolution: float) -> float:
@@ -295,12 +341,37 @@ def ncmsi_advantage(alpha: complex, beta: complex, m: int,
     The gap is nonnegative: any original-only machine's r matrix is feasible
     for the joint machine as well.  It vanishes when the supplementary
     states carry no information (|beta| = 1) and is strictly positive for
-    overlaps in the open interior.
+    overlaps in the open interior.  A length-1 call of
+    :func:`ncmsi_advantage_many`.
     """
+    return unwrap(ncmsi_advantage_many([(alpha, beta, m, priors)])[0])
+
+
+def _advantage_problems(alpha, beta, m, priors) -> list:
+    """The joint and the ncm problem of one advantage request, each as an outcome."""
     symmetric = abs(priors[0] - priors[1]) <= 1e-12
-    joint = optimize(OptimizationProblem("joint", alpha, beta, m, priors, symmetric))
-    ncm = optimize(OptimizationProblem("ncm", alpha, None, m, priors, symmetric))
-    return joint.value, ncm.value, joint.value - ncm.value
+    return [capture(OptimizationProblem, "joint", alpha, beta, m, priors, symmetric),
+            capture(OptimizationProblem, "ncm", alpha, None, m, priors, symmetric)]
+
+
+def ncmsi_advantage_many(requests: list[tuple]) -> list:
+    """:func:`ncmsi_advantage` for every (alpha, beta, m, priors) of a list; one outcome each.
+
+    The joint and ncm optima of all requests go through one :func:`optimize_many`.
+    """
+    pairs = [capture(_advantage_problems, *req) for req in requests]
+    probs = [prob for pair in pairs if not isinstance(pair, Exception) for prob in pair
+             if not isinstance(prob, Exception)]
+    solved = dict(zip(map(id, probs), optimize_many(probs)))
+    out: list = []
+    for pair in pairs:
+        if isinstance(pair, Exception):
+            out.append(pair)
+            continue
+        joint, ncm = (solved.get(id(prob), prob) for prob in pair)
+        failed = next((res for res in (joint, ncm) if isinstance(res, Exception)), None)
+        out.append(failed or (joint.value, ncm.value, joint.value - ncm.value))
+    return out
 
 
 def discrimination_convergence(alpha_abs: float, beta_abs: float, m_max: int) -> list[tuple[int, float]]:
@@ -310,18 +381,48 @@ def discrimination_convergence(alpha_abs: float, beta_abs: float, m_max: int) ->
     to zero, so a success outcome identifies the input with certainty.  The
     optimum is bounded by 1 - |alpha beta| for every m and approaches it:
     orthogonal flags let the machine discriminate first and copy second.
+    A length-1 call of :func:`discrimination_convergence_many`.
     """
-    a, b = float(alpha_abs), float(beta_abs)
-    if not (0.0 < a < 1.0 and 0.0 < b <= 1.0):
-        raise ValidationError("need 0 < alpha_abs < 1 and 0 < beta_abs <= 1")
-    out: list[tuple[int, float]] = []
-    for m in range(1, m_max + 1):
-        prob = OptimizationProblem("joint", a, b, m)
-        best = _scale_limit(prob, _slot_matrix(m, m, 1.0), _row_cap(prob), probes_pinned=True)
-        spec = _spec(prob, _slot_matrix(m, m, best), np.zeros(m))
-        if not feasible(spec).feasible:
-            raise NumericalError("single-slot optimum failed the feasibility assertion")
-        out.append((m, best))
+    return unwrap(discrimination_convergence_many([(alpha_abs, beta_abs, m_max)])[0])
+
+
+def discrimination_convergence_many(requests: list[tuple[float, float, int]]) -> list:
+    """:func:`discrimination_convergence` for every (alpha_abs, beta_abs, m_max) of a list.
+
+    The single-slot optima of all requests are one array, and the depth-m
+    machines of every request that reaches depth m are asserted feasible
+    in one core call.  One outcome per request.
+    """
+    out: list = []
+    live: list[tuple[int, float, float, int]] = []
+    for i, (a, b, m_max) in enumerate(requests):
+        a, b = float(a), float(b)
+        if 0.0 < a < 1.0 and 0.0 < b <= 1.0:
+            out.append([])
+            live.append((i, a, b, m_max))
+        else:
+            out.append(ValidationError("need 0 < alpha_abs < 1 and 0 < beta_abs <= 1"))
+    a = np.array([row[1] for row in live])
+    b = np.array([row[2] for row in live])
+    # With every probe overlap pinned to 0 the success branches cancel none
+    # of the off-diagonal, which stays |alpha beta| along the ray (S = 0).
+    best = ray_limit(1.0, 1.0, 0.0, a * b, 1.0 - _CAP_MARGIN)
+    for m in range(1, max((row[3] for row in live), default=0) + 1):
+        rows = [j for j, row in enumerate(live) if row[3] >= m and isinstance(out[row[0]], list)]
+        if not rows:
+            break
+        r = np.zeros((len(rows), 2, m))
+        r[:, :, m - 1] = best[rows, None]
+        batch = feasibility_core("joint", a[rows], b[rows], m, r, np.zeros((len(rows), m)))
+        ok = batch.verdict()
+        for k, j in enumerate(rows):
+            i = live[j][0]
+            if batch.fault[k]:
+                out[i] = batch.error(k)
+            elif not ok[k]:
+                out[i] = NumericalError("single-slot optimum failed the feasibility assertion")
+            else:
+                out[i].append((m, float(best[j])))
     return out
 
 

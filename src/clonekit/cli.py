@@ -10,12 +10,20 @@ bounds, sweep, uqcm.  Reports are byte-identical for identical tasks (and
 seed), every float is serialized with 17 significant digits, and a report
 file can itself be passed back via --task to reproduce itself.  Exit codes:
 0 success, 2 validation error, 3 infeasible input, 4 numerical failure.
+
+Every command handler takes a list of point tasks.  A plain command is a
+list of one; a sweep hands its handler all its points (in chunks of
+``_SWEEP_CHUNK``), and feasibility, decompose, symmetric optimize and
+bounds solve the list with one feasibility-core call per (kind, m) group.
+A sweep row therefore equals the row made from that point's own report,
+and a failing sweep raises the error of its first failing point in
+product order, as the point would alone.  The argument parser is built
+once per process, and arrays are serialized in one pass.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import itertools
 import json
 import math
@@ -25,22 +33,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    OptimizationProblem,
-    discrimination_bound,
-    discrimination_convergence,
-    duan_guo_bound,
-    grid_oracle,
-    ncmsi_advantage,
-    optimize,
-    uqcm_distance,
-)
-from .errors import InfeasibleError, NumericalError, ValidationError
-from .machine import MachineSpec, feasible
-from .protocol import compose, decompose_two_step
+from .errors import InfeasibleError, NumericalError, ValidationError, capture, unwrap
+from .machine import MachineSpec, feasibility_core, feasible
 from .qlinalg import DEFAULT_TOL
 from .states import PureState, canonical_pair, overlap
-from .synthesis import _draw, exact_statistics, global_success, realize
+
+# The analysis, protocol and synthesis modules are imported inside the
+# handlers that use them, so one process loads only what its command runs.
 
 COMMANDS = (
     "feasibility",
@@ -56,6 +55,9 @@ COMMANDS = (
 
 _INT_FIELDS = {"m", "m_max", "shots", "input_index", "steps"}
 _SWEEP_MAX_POINTS = 10_000
+# Sweep points per list-handler call (the grid oracle's chunk); keeps the
+# stacks of a 2-axis sweep flat.
+_SWEEP_CHUNK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +81,12 @@ def _canonical(obj) -> str:
         return str(obj)
     if isinstance(obj, float):
         return _fmt_float(obj)
+    if isinstance(obj, complex):  # a real complex is written as a plain number
+        return _fmt_float(obj.real) if obj.imag == 0.0 else f"[{_fmt_float(obj.real)},{_fmt_float(obj.imag)}]"
     if isinstance(obj, str):
         return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        return _canonical_array(obj)
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_canonical(v) for v in obj) + "]"
     if isinstance(obj, dict):
@@ -89,19 +95,21 @@ def _canonical(obj) -> str:
     raise ValidationError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def _jsonify(obj):
-    """Convert numpy arrays and complex numbers to plain JSON-ready values."""
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, complex):
-        return float(obj.real) if obj.imag == 0.0 else [float(obj.real), float(obj.imag)]
-    if isinstance(obj, np.generic):
-        return _jsonify(obj.item())
-    return obj
+def _canonical_array(arr: np.ndarray) -> str:
+    """A float or complex array in one pass: every entry formatted as _canonical formats it."""
+    if arr.dtype.kind not in "fc" or arr.ndim == 0 or arr.size == 0:
+        return _canonical(arr.tolist())
+    if not np.isfinite(arr).all():
+        raise NumericalError("cannot serialize a non-finite number")
+    if arr.dtype.kind == "f":
+        cells = [f"{x:.17g}" for x in arr.ravel().tolist()]
+    else:
+        cells = [f"{x:.17g}" if y == 0.0 else f"[{x:.17g},{y:.17g}]"
+                 for x, y in zip(arr.real.ravel().tolist(), arr.imag.ravel().tolist())]
+    for n in reversed(arr.shape[1:]):
+        cells = [",".join(cells[i:i + n]) for i in range(0, len(cells), n)]
+        cells = [f"[{row}]" for row in cells]
+    return "[" + ",".join(cells) + "]"
 
 
 def _csv_cell(v) -> str:
@@ -165,25 +173,6 @@ def _require(task: dict, key: str):
     return task[key]
 
 
-def _spec_from_task(d: dict, tol: float, default_kind: str | None = None) -> MachineSpec:
-    kind = d.get("kind", default_kind)
-    if kind is None:
-        raise ValidationError("task is missing required field 'kind'")
-    alpha = _parse_complex(_require(d, "alpha"), "alpha")
-    beta = _parse_complex(d["beta"], "beta") if d.get("beta") is not None else None
-    m = _number(_require(d, "m"), "m", integer=True)
-    r = _require(d, "r")
-    p = d.get("p")
-    if p is not None:
-        p = [_parse_complex(v, "p entry") for v in p]
-    try:
-        return MachineSpec(kind, alpha, beta, m, np.asarray(r, dtype=float), p)
-    except ValidationError:
-        raise
-    except (TypeError, ValueError) as exc:  # numpy coercion failures
-        raise ValidationError(f"bad machine specification: {exc}") from exc
-
-
 def _state_from(value, name: str) -> PureState:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ValidationError(f"{name} must be a 2-amplitude vector")
@@ -223,6 +212,8 @@ def _states_from_task(task: dict, spec: MachineSpec, tol: float):
 
 
 def _problem_from_task(d: dict) -> OptimizationProblem:
+    from .analysis import OptimizationProblem
+
     kind = _require(d, "kind")
     alpha = _parse_complex(_require(d, "alpha"), "alpha")
     beta = _parse_complex(d["beta"], "beta") if d.get("beta") is not None else None
@@ -238,10 +229,77 @@ def _problem_from_task(d: dict) -> OptimizationProblem:
 
 # ---------------------------------------------------------------------------
 # command handlers
+#
+# Every handler takes a list of point tasks and returns one outcome per task
+# (see clonekit.errors): the results dict, or the exception that task
+# raises on its own.  A plain command is a list of one; a sweep passes all
+# its points at once, and feasibility, decompose, optimize and bounds then
+# solve the whole list with one feasibility-core call per (kind, m) group.
 
 
-def _report_feasibility(spec: MachineSpec, tol: float) -> dict:
-    rep = feasible(spec, tol)
+def _each(fn):
+    """A list handler that runs ``fn(task, tol, seed)`` on one point at a time."""
+
+    def handler(tasks: list, tol: float, seed) -> list:
+        return [capture(fn, task, tol, seed) for task in tasks]
+
+    return handler
+
+
+def _machine_fields(d: dict, default_kind: str | None = None) -> tuple:
+    """(kind, alpha, beta, m, r, p) of a machine task, parsed but not yet validated."""
+    kind = d.get("kind", default_kind)
+    if kind is None:
+        raise ValidationError("task is missing required field 'kind'")
+    alpha = _parse_complex(_require(d, "alpha"), "alpha")
+    beta = _parse_complex(d["beta"], "beta") if d.get("beta") is not None else None
+    m = _number(_require(d, "m"), "m", integer=True)
+    r = _require(d, "r")
+    p = d.get("p")
+    if p is not None:
+        try:
+            p = list(p)
+        except TypeError:
+            raise ValidationError(f"p must be a list of probe overlaps, got {p!r}") from None
+        p = [_parse_complex(v, "p entry") for v in p]
+    try:
+        r = np.asarray(r, dtype=float)
+    except (TypeError, ValueError) as exc:  # numpy coercion failures
+        raise ValidationError(f"bad machine specification: {exc}") from exc
+    return kind, alpha, beta, m, r, p
+
+
+def _spec_from_task(d: dict, tol: float, default_kind: str | None = None) -> MachineSpec:
+    kind, alpha, beta, m, r, p = _machine_fields(d, default_kind)
+    return MachineSpec(kind, alpha, beta, m, r, p)
+
+
+def _machine_batches(tasks: list, out: list, default_kind: str | None = None):
+    """(rows, batch) per group of machine tasks that stack: one feasibility-core call each.
+
+    Tasks group by (kind, m, the shapes of r and p, whether beta is given);
+    a task whose fields do not parse gets its error in ``out`` instead.
+    """
+    groups: dict = {}
+    for i, task in enumerate(tasks):
+        try:
+            fields = _machine_fields(task, default_kind)
+        except Exception as exc:
+            out[i] = exc
+            continue
+        kind, _, beta, m, r, p = fields
+        key = (repr(kind), m, r.shape, beta is None, None if p is None else len(p))
+        groups.setdefault(key, []).append((i, fields))
+    for members in groups.values():
+        kind, _, beta, m, _, p = members[0][1]
+        column = list(zip(*(fields for _, fields in members)))
+        yield [i for i, _ in members], feasibility_core(
+            kind, column[1], None if beta is None else column[2], m, np.stack(column[4]),
+            None if p is None else np.array(column[5], dtype=np.complex128).reshape(len(members), -1),
+        )
+
+
+def _report_feasibility(rep) -> dict:
     return {
         "feasible": bool(rep.feasible),
         "det": float(rep.det),
@@ -252,41 +310,64 @@ def _report_feasibility(spec: MachineSpec, tol: float) -> dict:
     }
 
 
-def _cmd_feasibility(task: dict, tol: float, seed) -> dict:
-    spec = _spec_from_task(task, tol)
-    return _report_feasibility(spec, tol)
+def _cmd_feasibility(tasks: list, tol: float, seed) -> list:
+    out: list = [None] * len(tasks)
+    for rows, batch in _machine_batches(tasks, out):
+        for j, i in enumerate(rows):
+            out[i] = batch.error(j) or _report_feasibility(batch.report(j, tol))
+    return out
 
 
-def _cmd_optimize(task: dict, tol: float, seed) -> dict:
-    prob = _problem_from_task(task)
-    resolution = task.get("oracle_resolution")
-    if resolution is not None:
-        resolution = _number(resolution, "oracle_resolution")
-    res = optimize(prob, tol, oracle_resolution=resolution)
-    return {
-        "value": res.value,
-        "r_star": res.r_star,
-        "p_star": res.p_star,
-        "oracle_value": res.oracle_value,
-        "method_trace": list(res.method_trace),
-    }
+def _cmd_optimize(tasks: list, tol: float, seed) -> list:
+    from .analysis import optimize_many
+
+    out: list = [None] * len(tasks)
+    rows, probs, resolutions = [], [], []
+    for i, task in enumerate(tasks):
+        try:
+            prob = _problem_from_task(task)
+            resolution = task.get("oracle_resolution")
+            if resolution is not None:
+                resolution = _number(resolution, "oracle_resolution")
+        except Exception as exc:
+            out[i] = exc
+            continue
+        rows.append(i)
+        probs.append(prob)
+        resolutions.append(resolution)
+    for i, res in zip(rows, optimize_many(probs, tol, resolutions)):
+        out[i] = res if isinstance(res, Exception) else {
+            "value": res.value,
+            "r_star": res.r_star,
+            "p_star": res.p_star,
+            "oracle_value": res.oracle_value,
+            "method_trace": list(res.method_trace),
+        }
+    return out
 
 
-def _cmd_decompose(task: dict, tol: float, seed) -> dict:
-    spec = _spec_from_task(task, tol, default_kind="joint")
-    plan = decompose_two_step(spec, tol)
-    return {
-        "case": plan.case_tag,
-        "root_t": plan.root_t,
-        "supp_r": plan.supp.r,
-        "ncm_r": plan.ncm.r,
-        "composed_success": list(plan.composed_success),
-        "supp_feasibility": _report_feasibility(plan.supp, tol),
-        "ncm_feasibility": _report_feasibility(plan.ncm, tol),
-    }
+def _cmd_decompose(tasks: list, tol: float, seed) -> list:
+    from .protocol import decompose_many
+
+    out: list = [None] * len(tasks)
+    for rows, batch in _machine_batches(tasks, out, default_kind="joint"):
+        for i, plan in zip(rows, decompose_many(batch, tol)):
+            out[i] = plan if isinstance(plan, Exception) else {
+                "case": plan.case_tag,
+                "root_t": plan.root_t,
+                "supp_r": plan.supp.r,
+                "ncm_r": plan.ncm.r,
+                "composed_success": list(plan.composed_success),
+                "supp_feasibility": _report_feasibility(plan.supp_report),
+                "ncm_feasibility": _report_feasibility(plan.ncm_report),
+            }
+    return out
 
 
+@_each
 def _cmd_compose(task: dict, tol: float, seed) -> dict:
+    from .protocol import compose
+
     supp = _spec_from_task(_require(task, "supp"), tol, default_kind="supplementary")
     ncm = _spec_from_task(_require(task, "ncm"), tol, default_kind="ncm")
     joint = compose(supp, ncm, tol)
@@ -294,11 +375,13 @@ def _cmd_compose(task: dict, tol: float, seed) -> dict:
         "r": joint.r,
         "sum_r": joint.sum_r,
         "p": joint.p,
-        "feasibility": _report_feasibility(joint, tol),
+        "feasibility": _report_feasibility(feasible(joint, tol)),
     }
 
 
 def _synthesize(task: dict, tol: float):
+    from .synthesis import exact_statistics, global_success, realize
+
     spec = _spec_from_task(task, tol)
     psi, phi = _states_from_task(task, spec, tol)
     rz = realize(spec, psi, phi, tol)
@@ -317,12 +400,16 @@ def _synthesize(task: dict, tol: float):
     return dist, results
 
 
+@_each
 def _cmd_synthesize(task: dict, tol: float, seed) -> dict:
     _, results = _synthesize(task, tol)
     return results
 
 
+@_each
 def _cmd_simulate(task: dict, tol: float, seed) -> dict:
+    from .synthesis import _draw
+
     if seed is None:
         raise ValidationError("simulate requires a seed (--seed or task field)")
     dist, results = _synthesize(task, tol)
@@ -337,41 +424,92 @@ def _cmd_simulate(task: dict, tol: float, seed) -> dict:
 _BOUND_QUANTITIES = ("duan_guo", "discrimination_bound", "advantage", "convergence", "single_slot_optimum")
 
 
-def _cmd_bounds(task: dict, tol: float, seed) -> dict:
-    quantities = task.get("quantities", ["duan_guo", "discrimination_bound"])
-    alpha = _parse_complex(_require(task, "alpha"), "alpha")
-    results: dict = {}
-    for q in quantities:
-        if q == "duan_guo":
-            results["duan_guo"] = duan_guo_bound(abs(alpha))
-        elif q == "discrimination_bound":
-            beta = _parse_complex(_require(task, "beta"), "beta")
-            results["discrimination_bound"] = discrimination_bound(
-                abs(alpha), abs(beta), _number(task.get("m", 1), "m", integer=True),
-                _number(task.get("p_m", 0.0), "p_m"),
-            )
-        elif q == "advantage":
-            beta = _parse_complex(_require(task, "beta"), "beta")
-            joint_opt, ncm_opt, delta = ncmsi_advantage(
-                alpha, beta, _number(task.get("m", 1), "m", integer=True), _priors(task)
-            )
-            results["advantage"] = {"joint_opt": joint_opt, "ncm_opt": ncm_opt, "delta": delta}
-        elif q == "convergence":
-            beta = _parse_complex(_require(task, "beta"), "beta")
-            m_max = _number(task.get("m_max", 8), "m_max", integer=True)
-            pairs = discrimination_convergence(abs(alpha), abs(beta), m_max)
-            results["convergence"] = [[m, v] for m, v in pairs]
-        elif q == "single_slot_optimum":
-            beta = _parse_complex(_require(task, "beta"), "beta")
-            m = _number(task.get("m", 1), "m", integer=True)
-            pairs = discrimination_convergence(abs(alpha), abs(beta), m)
-            results["single_slot_optimum"] = pairs[-1][1]
-        else:
-            raise ValidationError(f"unknown bounds quantity {q!r}; pick from {_BOUND_QUANTITIES}")
-    return results
+def _bound_items(task: dict, advantage: list, slots: list) -> list:
+    """(quantity, value) per requested quantity, in order.
+
+    Closed forms are computed on the spot.  The advantage and the
+    single-slot optima are queued in ``advantage`` and ``slots`` for one
+    batched solve, and their value here is the queue position.  A quantity
+    that fails to parse or compute ends the list with its exception.
+    """
+    from .analysis import discrimination_bound, duan_guo_bound
+
+    items: list = []
+    try:
+        quantities = task.get("quantities", ["duan_guo", "discrimination_bound"])
+        alpha = _parse_complex(_require(task, "alpha"), "alpha")
+        try:
+            quantities = list(quantities)
+        except TypeError:
+            raise ValidationError(f"quantities must be a list of names, got {quantities!r}") from None
+        for q in quantities:
+            if q == "duan_guo":
+                items.append((q, duan_guo_bound(abs(alpha))))
+            elif q == "discrimination_bound":
+                beta = _parse_complex(_require(task, "beta"), "beta")
+                items.append((q, discrimination_bound(
+                    abs(alpha), abs(beta), _number(task.get("m", 1), "m", integer=True),
+                    _number(task.get("p_m", 0.0), "p_m"),
+                )))
+            elif q == "advantage":
+                beta = _parse_complex(_require(task, "beta"), "beta")
+                request = (alpha, beta, _number(task.get("m", 1), "m", integer=True), _priors(task))
+                items.append((q, len(advantage)))
+                advantage.append(request)
+            elif q == "convergence":
+                beta = _parse_complex(_require(task, "beta"), "beta")
+                request = (abs(alpha), abs(beta), _number(task.get("m_max", 8), "m_max", integer=True))
+                items.append((q, len(slots)))
+                slots.append(request)
+            elif q == "single_slot_optimum":
+                beta = _parse_complex(_require(task, "beta"), "beta")
+                request = (abs(alpha), abs(beta), _number(task.get("m", 1), "m", integer=True))
+                items.append((q, len(slots)))
+                slots.append(request)
+            else:
+                raise ValidationError(f"unknown bounds quantity {q!r}; pick from {_BOUND_QUANTITIES}")
+    except Exception as exc:
+        items.append((None, exc))
+    return items
 
 
+def _cmd_bounds(tasks: list, tol: float, seed) -> list:
+    from .analysis import discrimination_convergence_many, ncmsi_advantage_many
+
+    advantage: list = []
+    slots: list = []
+    plans = [_bound_items(task, advantage, slots) for task in tasks]
+    advantage = ncmsi_advantage_many(advantage)
+    slots = discrimination_convergence_many(slots)
+    out = []
+    for items in plans:
+        results: dict = {}
+        for q, value in items:
+            if q == "advantage":
+                value = advantage[value]
+                if not isinstance(value, Exception):
+                    joint_opt, ncm_opt, delta = value
+                    value = {"joint_opt": joint_opt, "ncm_opt": ncm_opt, "delta": delta}
+            elif q == "convergence":
+                value = slots[value]
+                if not isinstance(value, Exception):
+                    value = [[m, v] for m, v in value]
+            elif q == "single_slot_optimum":
+                value = slots[value]
+                if not isinstance(value, Exception):
+                    value = value[-1][1] if value else ValidationError("single_slot_optimum needs m >= 1")
+            if isinstance(value, Exception):
+                results = value
+                break
+            results[q] = value
+        out.append(results)
+    return out
+
+
+@_each
 def _cmd_uqcm(task: dict, tol: float, seed) -> dict:
+    from .analysis import uqcm_distance
+
     amps = task.get("amplitudes", [1.0, 0.0])
     if not isinstance(amps, (list, tuple)) or len(amps) != 2:
         raise ValidationError(f"amplitudes must be a list of two amplitudes, got {amps!r}")
@@ -380,15 +518,20 @@ def _cmd_uqcm(task: dict, tol: float, seed) -> dict:
     return {"distance": uqcm_distance(a, b)}
 
 
-def _set_path(d: dict, path: str, value) -> None:
+def _set_path(d: dict, path: str, value, fresh: bool = False) -> None:
+    """Set a dotted task field; with ``fresh``, copy every container on the path before writing into it."""
     try:
         keys = path.split(".")
         cur = d
         for key in keys[:-1]:
             if isinstance(cur, list):
-                cur = cur[int(key)]
+                key = int(key)
+                nxt = cur[key]
             else:
-                cur = cur.setdefault(key, {})
+                nxt = cur.setdefault(key, {})
+            if fresh and isinstance(nxt, (list, dict)):
+                nxt = cur[key] = nxt.copy()
+            cur = nxt
         last = keys[-1]
         if isinstance(cur, list):
             cur[int(last)] = value
@@ -399,13 +542,29 @@ def _set_path(d: dict, path: str, value) -> None:
 
 
 def _flatten_scalars(prefix: str, obj, out: dict) -> None:
+    """Scalar leaves of a results dict under dotted keys; arrays and lists are left out."""
     if isinstance(obj, dict):
         for k, v in obj.items():
             _flatten_scalars(f"{prefix}.{k}" if prefix else str(k), v, out)
+        return
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, complex):
+        if obj.imag == 0.0:  # a real complex is written as a plain number
+            out[prefix] = float(obj.real)
     elif isinstance(obj, (bool, int, float)):
         out[prefix] = obj
 
 
+def _point_task(inner: dict, grids: list, combo: tuple) -> dict:
+    """The inner task at one sweep point; only containers on an axis path are copied."""
+    point = dict(inner)
+    for (name, _), value in zip(grids, combo):
+        _set_path(point, name, value, fresh=True)
+    return point
+
+
+@_each
 def _cmd_sweep(task: dict, tol: float, seed) -> dict:
     axes = _require(task, "sweep")
     if not isinstance(axes, list) or not 1 <= len(axes) <= 2:
@@ -421,6 +580,8 @@ def _cmd_sweep(task: dict, tol: float, seed) -> dict:
     grids = []
     for axis in axes:
         name = _require(axis, "name")
+        if not isinstance(name, str):
+            raise ValidationError(f"axis name must be a string, got {name!r}")
         steps = _number(_require(axis, "steps"), "steps", integer=True)
         if not 1 <= steps <= _SWEEP_MAX_POINTS:
             raise ValidationError(f"axis {name!r} steps must lie in 1..{_SWEEP_MAX_POINTS}")
@@ -434,18 +595,26 @@ def _cmd_sweep(task: dict, tol: float, seed) -> dict:
             values = [float(v) for v in values]
         grids.append((name, values))
 
+    # Points run in chunks through the inner command's list handler; the
+    # first failing point in product order raises, as if run one by one.
     rows = []
-    column_keys: list[str] | None = task.get("select")
-    for combo in itertools.product(*[vals for _, vals in grids]):
-        point_task = copy.deepcopy(inner)
-        for (name, _), value in zip(grids, combo):
-            _set_path(point_task, name, value)
-        results = handler(point_task, tol, seed)
-        flat: dict = {}
-        _flatten_scalars("", _jsonify(results), flat)
-        if column_keys is None:
-            column_keys = sorted(flat)
-        rows.append([*combo, *(flat.get(key) for key in column_keys)])
+    select = task.get("select")
+    column_keys = None
+    combos = itertools.product(*[vals for _, vals in grids])
+    while chunk := list(itertools.islice(combos, _SWEEP_CHUNK)):
+        outcomes = [capture(_point_task, inner, grids, combo) for combo in chunk]
+        built = [j for j, point in enumerate(outcomes) if not isinstance(point, Exception)]
+        for j, res in zip(built, handler([outcomes[j] for j in built], tol, seed)):
+            outcomes[j] = res
+        for combo, res in zip(chunk, outcomes):
+            flat: dict = {}
+            _flatten_scalars("", unwrap(res), flat)
+            try:
+                if column_keys is None:
+                    column_keys = sorted(flat) if select is None else list(select)
+                rows.append([*combo, *(flat.get(key) for key in column_keys)])
+            except TypeError:
+                raise ValidationError(f"select must be a list of column names, got {select!r}") from None
 
     rows.sort(key=lambda row: tuple(row[: len(grids)]))
     return {"columns": [name for name, _ in grids] + list(column_keys or []), "rows": rows}
@@ -512,7 +681,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         cmd = sub.add_parser(name, help=f"run the {name} command")
         cmd.add_argument("--task", required=True, help="JSON task file (or a previous report)")
-        cmd.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+        cmd.add_argument("--set", action="append", default=None, metavar="KEY=VALUE",
                          help="override a task field (dotted paths allowed)")
         cmd.add_argument("--out", default=None, help="write the report here instead of stdout")
         cmd.add_argument("--format", choices=("json", "csv"), default=None)
@@ -521,11 +690,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and kept for the process."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    return _PARSER
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         task = _load_task(args.task)
-        _parse_set(args.set, task)
+        _parse_set(args.set or [], task)
 
         declared = task.get("command")
         if declared is not None and declared != args.command:
@@ -561,13 +741,13 @@ def main(argv=None) -> int:
         if fmt not in ("json", "csv"):
             raise ValidationError(f"unknown output format {fmt!r}")
 
-        results = _HANDLERS[args.command](task, tol, seed)
+        results = unwrap(_HANDLERS[args.command]([task], tol, seed)[0])
 
         if fmt == "csv":
             if args.command != "sweep":
                 raise ValidationError("csv output is only available for sweep tables")
             header = ",".join(results["columns"])
-            lines = [header] + [",".join(_csv_cell(v) for v in row) for row in _jsonify(results)["rows"]]
+            lines = [header] + [",".join(_csv_cell(v) for v in row) for row in results["rows"]]
             _emit("\n".join(lines) + "\n", out_path)
         else:
             report = {
@@ -577,7 +757,7 @@ def main(argv=None) -> int:
                 "tolerance": tol,
                 "seed": seed,
             }
-            _emit(_canonical(_jsonify(report)) + "\n", out_path)
+            _emit(_canonical(report) + "\n", out_path)
         return 0
     except ValidationError as exc:
         print(f"clonekit: validation error: {exc}", file=sys.stderr)

@@ -15,6 +15,11 @@ overlaps the member's residual determinant there is
 with R_i the row sums and S_k = sqrt(r_k1 r_k2), a quadratic in t that is
 nonnegative at t = 0 and negative at t = 1, so the boundary t* is its exact
 root (:func:`clonekit.machine.ray_limit`).
+
+:func:`decompose_many` decomposes a whole :class:`~clonekit.machine.MachineBatch`
+of joint machines at once: the cases, roots and members are arrays, and
+the members of all rows are validated and asserted in one core call per
+member kind.  :func:`decompose_two_step` is its length-1 call.
 """
 
 from __future__ import annotations
@@ -23,8 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, NumericalError, ValidationError
-from .machine import MachineSpec, feasible, optimal_probe_overlaps, ray_limit, ray_terms
+from .errors import InfeasibleError, NumericalError, ValidationError, unwrap
+from .machine import (
+    FeasibilityReport,
+    MachineBatch,
+    MachineSpec,
+    feasibility_core,
+    feasible,
+    optimal_probe_overlaps,
+    ray_limit,
+    ray_terms,
+)
 from .qlinalg import DEFAULT_TOL
 
 
@@ -34,7 +48,8 @@ class TwoStepPlan:
 
     ``composed_success[i]`` is sum r_B + (1 - sum r_B) * sum r_A for input i.
     ``root_t`` is the boundary scaling parameter; it only carries meaning
-    for the ``case2_II`` tag.
+    for the ``case2_II`` tag.  ``supp_report`` and ``ncm_report`` are the
+    members' feasibility reports that the decomposition asserted.
     """
 
     supp: MachineSpec
@@ -42,6 +57,8 @@ class TwoStepPlan:
     composed_success: tuple[float, float]
     case_tag: str
     root_t: float
+    supp_report: FeasibilityReport
+    ncm_report: FeasibilityReport
 
 
 def f_value(x, y, alpha_abs: float, beta_abs: float) -> float:
@@ -66,19 +83,17 @@ def f_value(x, y, alpha_abs: float, beta_abs: float) -> float:
 
 
 def _case1_fill(r: np.ndarray) -> np.ndarray:
-    """Raise entries slot by slot until each row sums to exactly 1."""
+    """Raise entries slot by slot until each row sums to exactly 1 (r of shape (N, 2, m))."""
     out = r.copy()
     for i in range(2):
-        deficit = 1.0 - out[i].sum()
-        for k in range(out.shape[1]):
-            if deficit <= 0.0:
-                break
-            room = 1.0 - out[i, k]
-            add = min(room, deficit)
-            out[i, k] += add
-            deficit -= add
+        deficit = 1.0 - out[:, i].sum(axis=-1)
+        for k in range(out.shape[-1]):
+            active = deficit > 0.0
+            add = np.minimum(1.0 - out[:, i, k], deficit)
+            out[:, i, k] = np.where(active, out[:, i, k] + add, out[:, i, k])
+            deficit = np.where(active, deficit - add, deficit)
         # Absorb float residue so the row sum is exactly 1.
-        out[i, -1] += 1.0 - out[i].sum()
+        out[:, i, -1] += 1.0 - out[:, i].sum(axis=-1)
     return out
 
 
@@ -94,46 +109,69 @@ def decompose_two_step(joint: MachineSpec, tol: float = DEFAULT_TOL) -> TwoStepP
     Case 2-I (the member r_B = r is already feasible): r_B = r, r_A = 0.
     Case 2-II: t* is the exact root of the member's determinant along the
     ray t * r; then r_B = t* r and r_A = (r - r_B) / (1 - sum r_B) row-wise.
+
+    A length-1 call of :func:`decompose_many`.
     """
-    if joint.kind != "joint":
-        raise ValidationError("decompose_two_step expects a joint machine")
-    report = feasible(joint, tol)
-    if not report.feasible:
-        raise InfeasibleError("joint machine is infeasible; nothing to decompose")
+    return unwrap(decompose_many(joint.as_batch(), tol)[0])
 
-    r1, r2, s, b = ray_terms("supplementary", joint.alpha, joint.beta, joint.r)
-    zeros = np.zeros_like(joint.r)
 
-    if b <= s + tol:
-        r_b = _case1_fill(joint.r)
-        r_a = zeros
-        case_tag, root_t = "case1", 1.0
-    else:
-        root_t = ray_limit(r1, r2, s, b, 1.0)
-        if root_t >= 1.0:
-            r_b = joint.r.copy()
-            r_a = zeros
-            case_tag = "case2_I"
+def decompose_many(joints: MachineBatch, tol: float = DEFAULT_TOL) -> list:
+    """:func:`decompose_two_step` for every row of a batch, in three core calls.
+
+    The joint machines' own call is ``joints``; the supplementary and the
+    ncm members of all rows are validated and solved in one call each.
+    Returns one outcome per row (see :mod:`clonekit.errors`): the plan, or
+    the error that row's :func:`decompose_two_step` raises, checked in the
+    same order -- the row's validation fault, the joint feasibility, the
+    boundary construction, the members' validation and feasibility, and
+    the composed success.
+    """
+    n = len(joints)
+    out: list = [joints.error(i) for i in range(n)]
+    if joints.det is None:  # a fault of the whole call: every row carries it
+        return out
+    if joints.kind != "joint":
+        return [e or ValidationError("decompose_two_step expects a joint machine") for e in out]
+    r = joints.r
+    ok = joints.verdict(tol)
+    with np.errstate(all="ignore"):  # faulted rows may overflow or hold NaN; degenerate rows divide by 0
+        r1, r2, s, b = ray_terms("supplementary", joints.alpha, joints.beta, r)
+        case1 = b <= s + tol
+        root = np.where(case1, 1.0, ray_limit(r1, r2, s, b, 1.0))
+        case2_ii = ~case1 & (root < 1.0)
+        r_b = np.where(case2_ii[:, None, None], root[:, None, None] * r, r)
+        if case1.any():
+            r_b = np.where(case1[:, None, None], _case1_fill(r), r_b)
+        denom = 1.0 - r_b.sum(axis=-1)
+        degenerate = case2_ii & (denom <= tol).any(axis=1)
+        r_a = np.where(case2_ii[:, None, None], (r - r_b) / denom[:, :, None], 0.0)
+    supp = feasibility_core("supplementary", joints.alpha, joints.beta, joints.m, r_b)
+    ncm = feasibility_core("ncm", joints.alpha, None, joints.m, r_a)
+    members_ok = supp.verdict(tol) & ncm.verdict(tol)
+    composed = supp.sums + (1.0 - supp.sums) * ncm.sums
+    short = (composed < joints.sums - tol).any(axis=1)
+    tags = np.where(case1, "case1", np.where(case2_ii, "case2_II", "case2_I"))
+    for i in range(n):
+        if out[i] is not None:
+            continue
+        if not ok[i]:
+            out[i] = InfeasibleError("joint machine is infeasible; nothing to decompose")
+        elif degenerate[i]:
+            out[i] = NumericalError("degenerate failure weight in the boundary construction")
+        elif supp.fault[i] or ncm.fault[i]:
+            out[i] = supp.error(i) or ncm.error(i)
+        elif not members_ok[i]:
+            out[i] = NumericalError("decomposition produced an infeasible member")
+        elif short[i]:
+            out[i] = NumericalError("two-step success fell below the joint machine's")
         else:
-            r_b = root_t * joint.r
-            denom = 1.0 - r_b.sum(axis=1)
-            if np.any(denom <= tol):
-                raise NumericalError("degenerate failure weight in the boundary construction")
-            r_a = (joint.r - r_b) / denom[:, None]
-            case_tag = "case2_II"
-
-    supp = MachineSpec("supplementary", joint.alpha, joint.beta, joint.m, r_b)
-    ncm = MachineSpec("ncm", joint.alpha, None, joint.m, r_a)
-    if not feasible(supp, tol).feasible or not feasible(ncm, tol).feasible:
-        raise NumericalError("decomposition produced an infeasible member")
-
-    sum_b = supp.sum_r
-    sum_a = ncm.sum_r
-    composed = tuple(float(sum_b[i] + (1.0 - sum_b[i]) * sum_a[i]) for i in range(2))
-    originals = joint.sum_r
-    if any(composed[i] < originals[i] - tol for i in range(2)):
-        raise NumericalError("two-step success fell below the joint machine's")
-    return TwoStepPlan(supp=supp, ncm=ncm, composed_success=composed, case_tag=case_tag, root_t=root_t)
+            out[i] = TwoStepPlan(
+                supp=supp.spec(i), ncm=ncm.spec(i),
+                composed_success=(float(composed[i, 0]), float(composed[i, 1])),
+                case_tag=str(tags[i]), root_t=float(root[i]),
+                supp_report=supp.report(i, tol), ncm_report=ncm.report(i, tol),
+            )
+    return out
 
 
 def compose(supp: MachineSpec, ncm: MachineSpec, tol: float = DEFAULT_TOL) -> MachineSpec:

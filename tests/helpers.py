@@ -108,3 +108,113 @@ def random_qubit(rng):
 
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
     return PureState(v / np.linalg.norm(v))
+
+
+# -- sweeps against their single-command points
+
+
+def run_cli(argv) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one in-process ``clonekit.cli.main`` call."""
+    import contextlib
+    import io
+
+    from clonekit.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def write_json(directory, name: str, payload) -> str:
+    import json
+    import os
+
+    path = os.path.join(str(directory), name)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    return path
+
+
+def _flat_scalars(prefix: str, obj, out: dict) -> None:
+    """Scalar leaves of a JSON-loaded results object, as a sweep row keeps them."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            _flat_scalars(f"{prefix}.{k}" if prefix else k, v, out)
+    elif isinstance(obj, (bool, int, float)):
+        out[prefix] = obj
+
+
+def sweep_points(task: dict) -> list[tuple[tuple, object]]:
+    """(axis values, inner task) of every sweep point in product order, built independently of the CLI.
+
+    A point whose axis path cannot be set carries, instead of a task, the
+    stderr line the CLI prints for it.
+    """
+    import copy
+    import itertools
+
+    grids = []
+    for axis in task["sweep"]:
+        steps = int(axis["steps"])
+        values = np.linspace(axis["start"], axis["stop"], steps) if steps > 1 else np.array([axis["start"]])
+        if axis["name"].split(".")[-1] in ("m", "m_max", "shots", "input_index", "steps"):
+            grids.append([int(round(v)) for v in values])
+        else:
+            grids.append([float(v) for v in values])
+    points = []
+    for combo in itertools.product(*grids):
+        inner = copy.deepcopy(task["run"])
+        for axis, value in zip(task["sweep"], combo):
+            keys = axis["name"].split(".")
+            try:
+                cur = inner
+                for key in keys[:-1]:
+                    cur = cur[int(key)] if isinstance(cur, list) else cur.setdefault(key, {})
+                if isinstance(cur, list):
+                    cur[int(keys[-1])] = value
+                else:
+                    cur[keys[-1]] = value
+            except (ValueError, IndexError, KeyError, TypeError, AttributeError) as exc:
+                inner = f"clonekit: validation error: cannot set task field {axis['name']!r}: {exc}\n"
+                break
+        points.append((combo, inner))
+    return points
+
+
+def check_sweep_against_points(directory, task: dict) -> tuple[int, str, str]:
+    """Run a sweep and each of its points as a single command; assert they agree.
+
+    A sweep that exits 0 must hold, for every point, the row made from that
+    point's single-command report, byte for byte.  A failing sweep must exit
+    with the code and stderr of its first failing point in product order.
+    """
+    import json
+
+    from clonekit.cli import _canonical
+
+    code, out, err = run_cli(["sweep", "--task", write_json(directory, "sweep.json", task)])
+    singles = []
+    for combo, inner in sweep_points(task):
+        if isinstance(inner, str):
+            singles.append((combo, (2, "", inner)))
+        else:
+            singles.append((combo, run_cli([inner["command"], "--task", write_json(directory, "point.json", inner)])))
+    failed = next((res for _, res in singles if res[0] != 0), None)
+    if failed is not None:
+        assert (code, err) == (failed[0], failed[2])
+        return code, out, err
+    assert code == 0, err
+    results = json.loads(out)["results"]
+    n_axes = len(task["sweep"])
+    rows = {tuple(row[:n_axes]): row[n_axes:] for row in results["rows"]}
+    assert len(results["rows"]) == len(singles)
+    for combo, (_, single_out, _) in singles:
+        flat: dict = {}
+        _flat_scalars("", json.loads(single_out)["results"], flat)
+        want = [flat.get(key) for key in results["columns"][n_axes:]]
+        assert _canonical(rows[combo]) == _canonical(want), combo
+    return code, out, err

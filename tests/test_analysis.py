@@ -5,15 +5,18 @@ from clonekit.analysis import (
     OptimizationProblem,
     discrimination_bound,
     discrimination_convergence,
+    discrimination_convergence_many,
     duan_guo_bound,
     grid_oracle,
     ncmsi_advantage,
+    ncmsi_advantage_many,
     optimize,
+    optimize_many,
     uqcm_distance,
 )
 from clonekit.analysis import _grid_feasible
 from clonekit.errors import NumericalError, ValidationError
-from clonekit.machine import MachineSpec, closed_form_det, feasible, ray_limit, ray_terms
+from clonekit.machine import MachineSpec, feasible, ray_limit, ray_terms
 from clonekit.qlinalg import DEFAULT_TOL
 from helpers import rand_overlap
 
@@ -103,6 +106,50 @@ class TestOptimize:
             OptimizationProblem("ncm", 0.5, None, 1, priors=(0.7, 0.2))
 
 
+class TestClosedFormOptima:
+    """The kernel's roots keep every digit, double roots included (alpha = beta)."""
+
+    GRID = np.linspace(0.05, 0.95, 19)
+    CAP = 1.0 - 1e-12  # joint rows stay strictly below total success 1
+
+    def test_symmetric_joint_and_ncm_optima(self):
+        for a in self.GRID:
+            for b in self.GRID:
+                value = optimize(OptimizationProblem("joint", a, b, 1)).value
+                assert abs(value - min(self.CAP, (1.0 - a * b) / (1.0 - a * a))) <= 1e-13, (a, b)
+            assert abs(optimize(OptimizationProblem("ncm", a, None, 1)).value - 1.0 / (1.0 + a)) <= 1e-13
+
+
+class TestBatchedCalls:
+    """The list versions return, per row, exactly what the unbatched call returns or raises."""
+
+    def test_optimize_many_matches_optimize(self):
+        rng = np.random.default_rng(151)
+        probs = [OptimizationProblem(kind, rand_overlap(rng), rand_overlap(rng, 0.1, 1.0), int(rng.integers(1, 4)),
+                                     symmetric=bool(rng.random() < 0.8))
+                 for kind in ("joint", "ncm", "supplementary") for _ in range(20)]
+        for prob, res in zip(probs, optimize_many(probs)):
+            single = optimize(prob)
+            assert res.value == single.value
+            assert np.array_equal(res.r_star, single.r_star) and np.array_equal(res.p_star, single.p_star)
+            assert res.method_trace == single.method_trace
+
+    def test_advantage_and_convergence_many(self):
+        rng = np.random.default_rng(157)
+        requests = [(rng.uniform(0.05, 0.95), rng.uniform(0.05, 1.0), int(rng.integers(1, 4)), (0.5, 0.5))
+                    for _ in range(30)]
+        requests.append((0.5, 1.5, 1, (0.5, 0.5)))  # |beta| > 1 fails this row only
+        out = ncmsi_advantage_many(requests)
+        for req, res in zip(requests[:-1], out):
+            assert res == ncmsi_advantage(*req)
+        assert isinstance(out[-1], ValidationError)
+        slots = [(a, b, m) for a, b, m, _ in requests[:-1]] + [(1.0, 0.5, 2), (0.5, 0.5, 0)]
+        conv = discrimination_convergence_many(slots)
+        for req, res in zip(slots[:-2], conv):
+            assert res == discrimination_convergence(*req)
+        assert isinstance(conv[-2], ValidationError) and conv[-1] == []
+
+
 class TestGridOracle:
     def test_ncm_resolution_example(self):
         val = grid_oracle(OptimizationProblem("ncm", 0.5, None, 1), 1e-3)
@@ -124,7 +171,8 @@ class TestGridOracle:
             if rng.random() < 0.5:
                 steps = np.floor(steps * rng.uniform(0.0, 1.0))
             r = steps * 0.05
-            det = closed_form_det(*ray_terms(kind, prob.alpha, prob.beta, r))
+            r1, r2, s, t = ray_terms(kind, prob.alpha, prob.beta, r)
+            det = (1.0 - r1) * (1.0 - r2) - max(0.0, t - s) ** 2  # closed form with optimal probes
             if abs(det + DEFAULT_TOL) < 1e-12:  # the verdict's own edge
                 continue
             try:

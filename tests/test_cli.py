@@ -431,3 +431,121 @@ class TestTypedFields:
         code, out, _ = run(capsys, ["feasibility", "--task", task])
         assert code == 0
         assert json.loads(out)["results"]["feasible"] is True
+
+
+class TestParserReuse:
+    def test_consecutive_calls_are_independent(self, tmp_path, capsys):
+        import clonekit.cli as cli
+
+        task = write_task(tmp_path, "t.json", FEAS_TASK)
+        _, first, _ = run(capsys, ["feasibility", "--task", task, "--set", "r.0.0=0.5"])
+        parser = cli._PARSER
+        _, second, _ = run(capsys, ["feasibility", "--task", task, "--set", "r.1.0=0.6"])
+        _, plain, _ = run(capsys, ["feasibility", "--task", task])
+        assert cli._PARSER is parser is not None
+        assert json.loads(first)["task"]["r"] == [[0.5], [0.8]]
+        assert json.loads(second)["task"]["r"] == [[0.8], [0.6]]
+        assert json.loads(plain)["task"]["r"] == [[0.8], [0.8]]
+        assert parser.parse_args(["feasibility", "--task", task]).set is None
+
+    @pytest.mark.parametrize("argv", [["feasibility", "--task", "t.json", "--bogus"], ["feasibility"],
+                                      ["teleport", "--task", "t.json"], []])
+    def test_argument_errors_exit_2(self, argv, capsys):
+        for _ in range(2):  # the same on a fresh and on a reused parser
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+
+def _reference_jsonify(obj):
+    """The per-element serializer the array fast path replaced, kept as the reference."""
+    if isinstance(obj, np.ndarray):
+        return [_reference_jsonify(v) for v in obj.tolist()]
+    if isinstance(obj, (list, tuple)):
+        return [_reference_jsonify(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _reference_jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, complex):
+        return float(obj.real) if obj.imag == 0.0 else [float(obj.real), float(obj.imag)]
+    if isinstance(obj, np.generic):
+        return _reference_jsonify(obj.item())
+    return obj
+
+
+def _reference_canonical(obj) -> str:
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if obj != obj or obj in (float("inf"), float("-inf")):
+            raise ValueError("non-finite")
+        return f"{obj:.17g}"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_reference_canonical(v) for v in obj) + "]"
+    items = sorted(obj.items(), key=lambda kv: kv[0])
+    return "{" + ",".join(f"{json.dumps(str(k))}:{_reference_canonical(v)}" for k, v in items) + "}"
+
+
+class TestArraySerialization:
+    def test_matches_per_element_reference(self):
+        from clonekit.cli import _canonical
+
+        rng = np.random.default_rng(5)
+        mixed = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+        mixed[0, :2] = [1.5, -2.0]  # real entries of a complex array print as plain numbers
+        mixed[1, 1] = complex(-0.0, 0.0)
+        mixed[2, 3] = complex(0.25, -0.0)
+        cases = [
+            np.array([0.0, -0.0, 1e-300, 1 / 3, -2.5e17]),
+            rng.normal(size=(2, 3, 4)),
+            mixed,
+            mixed.T,  # a non-contiguous view
+            np.array([[1 + 0j, 0.5j], [-0.0j, 2.0]]),
+            np.zeros((2, 0)),
+            np.zeros(0, dtype=complex),
+            np.array([1, 2, 3]),
+            np.array([True, False]),
+            {"nested": [mixed[0], {"r": np.eye(2)}], "z": complex(0.5, 0.0), "w": np.complex128(1j)},
+        ]
+        for obj in cases:
+            assert _canonical(obj) == _reference_canonical(_reference_jsonify(obj))
+
+    def test_non_finite_entries_rejected(self):
+        from clonekit.cli import _canonical
+        from clonekit.errors import NumericalError
+
+        for bad in (np.array([1.0, np.nan]), np.array([[1j, complex(0.0, np.inf)]])):
+            with pytest.raises(NumericalError, match="non-finite"):
+                _canonical({"matrix": bad})
+
+    def test_emitted_matrix_round_trip(self, tmp_path, capsys):
+        from clonekit.cli import _canonical
+
+        task = write_task(tmp_path, "t.json", {**SYNTH_TASK, "alpha": [0.3, 0.4], "m": 2,
+                                                 "r": [[0.2, 0.1], [0.1, 0.2]], "emit_matrix": True})
+        code, out, _ = run(capsys, ["synthesize", "--task", task])
+        assert code == 0
+        report = json.loads(out)
+        assert _canonical(report) + "\n" == out
+        matrix = report["results"]["matrix"]
+        assert any(isinstance(v, list) for row in matrix for v in row)
+        assert any(isinstance(v, float) for row in matrix for v in row)
+
+
+class TestRobustFields:
+    @pytest.mark.parametrize("command,payload", [
+        ("feasibility", {**FEAS_TASK, "p": 5}),
+        ("bounds", {"alpha": 0.5, "beta": 0.5, "quantities": None}),
+        ("bounds", {"alpha": 0.5, "beta": 0.5, "m": 0, "quantities": ["single_slot_optimum"]}),
+    ], ids=["scalar-p", "null-quantities", "single-slot-depth-0"])
+    def test_exit_2_without_traceback(self, tmp_path, capsys, command, payload):
+        code, _, err = run(capsys, [command, "--task", write_task(tmp_path, "t.json", payload)])
+        assert code == 2 and err.startswith("clonekit: validation error:")

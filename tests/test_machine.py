@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from clonekit.errors import ValidationError
 from clonekit.machine import (
     MachineSpec,
     dominance_premise,
+    feasibility_core,
     feasible,
     optimal_probe_overlaps,
     ray_limit,
@@ -12,7 +15,7 @@ from clonekit.machine import (
     reduced_inequality,
     residual_gram,
 )
-from helpers import rand_overlap, random_dominant_spec, random_feasible_spec
+from helpers import rand_overlap, random_dominant_spec, random_feasible_spec, raw_r
 
 
 def joint(alpha, beta, r, p=None, m=None):
@@ -61,6 +64,107 @@ class TestSpecValidation:
     def test_rejects_probe_overlap_off_disk(self):
         with pytest.raises(ValidationError):
             joint(0.5, 0.5, [[0.1]], p=[1.5])
+
+
+def _bits(x) -> bytes:
+    return np.ascontiguousarray(x).tobytes()
+
+
+class TestFeasibilityCore:
+    FIELDS = ("fault", "sums", "diag", "det", "off", "lhs", "rhs", "premise", "p_opt", "p_used")
+
+    @pytest.mark.parametrize("kind", ["joint", "ncm", "supplementary"])
+    def test_rows_match_length_one_calls_bitwise(self, kind):
+        rng = np.random.default_rng(181)
+        for m in (1, 2, 4):
+            n = 60
+            alpha = np.array([rand_overlap(rng) for _ in range(n)])
+            beta = np.array([rand_overlap(rng, 0.0, 1.0) for _ in range(n)])
+            r = np.stack([raw_r(rng, m) * rng.uniform(0.0, 1.2) for _ in range(n)])
+            r[::7] *= 2.0  # some rows fail validation
+            for p in (None, 0.999 * np.exp(1j * rng.uniform(0, 2 * np.pi, (n, m)))):
+                batch = feasibility_core(kind, alpha, beta, m, r, p)
+                assert 0 < np.count_nonzero(batch.fault) < n
+                for i in range(n):
+                    one = feasibility_core(kind, alpha[i:i + 1], beta[i:i + 1], m, r[i:i + 1],
+                                           None if p is None else p[i:i + 1])
+                    assert one.fault[0] == batch.fault[i]
+                    if batch.fault[i]:
+                        assert str(one.error(0)) == str(batch.error(i))
+                        continue
+                    for name in self.FIELDS:
+                        assert _bits(getattr(one, name)[0]) == _bits(getattr(batch, name)[i]), (name, i)
+
+    def test_one_overlap_for_every_row(self):
+        rng = np.random.default_rng(197)
+        r = np.stack([raw_r(rng, 2) * rng.uniform(0.0, 1.3) for _ in range(30)])
+        for kind, alpha, beta in (("joint", 0.4 + 0.3j, 0.8), ("supplementary", 0.6, -0.5j), ("ncm", 1.5, None)):
+            shared = feasibility_core(kind, alpha, beta, 2, r)
+            rows = feasibility_core(kind, np.full(30, alpha), None if beta is None else np.full(30, beta), 2, r)
+            assert [str(shared.error(i)) for i in range(30)] == [str(rows.error(i)) for i in range(30)]
+            if kind == "ncm":
+                continue
+            for name in self.FIELDS:
+                assert _bits(getattr(shared, name)) == _bits(getattr(rows, name)), (kind, name)
+
+    def test_optimal_residual_is_the_residual_of_its_probes(self):
+        # the closed-form off-diagonal equals T - sum_k c_k p_k at the reported probes
+        rng = np.random.default_rng(199)
+        for _ in range(300):
+            spec = random_feasible_spec(rng)
+            rep = feasible(spec)
+            explicit = residual_gram(spec.with_p(rep.p_used))
+            assert abs(rep.residual[0, 1] - explicit[0, 1]) <= 1e-12
+            assert abs(rep.residual[1, 0] - np.conj(rep.residual[0, 1])) == 0.0
+            assert np.array_equal(rep.residual.diagonal(), explicit.diagonal())
+
+    def test_spec_is_a_length_one_call(self):
+        rng = np.random.default_rng(191)
+        for _ in range(50):
+            spec = random_feasible_spec(rng)
+            batch = feasibility_core(spec.kind, [spec.alpha], None if spec.beta is None else [spec.beta],
+                                     spec.m, spec.r[None])
+            rep, want = feasible(spec), batch.report(0)
+            assert (rep.det, rep.slack, rep.feasible, rep.reduced_applicable) == (
+                want.det, want.slack, want.feasible, want.reduced_applicable)
+            assert _bits(rep.residual) == _bits(want.residual) and _bits(rep.p_used) == _bits(want.p_used)
+
+    def test_row_faults_carry_the_spec_messages(self):
+        good = [[0.1], [0.1]]
+        rows = [  # (alpha, beta, r, p, message or None), checked in MachineSpec's order
+            (0.5, 0.5, good, [1.0], None),
+            (1.5, 0.5, [[np.nan], [0.1]], [1.0], "|alpha| = 1.5 exceeds 1"),
+            (0.5, 1.0 + 1e-6, good, [1.0], "|beta| = 1.000001 exceeds 1"),
+            (0.5, 0.5, [[np.inf], [0.1]], [1.0], "r has non-finite entries"),
+            (0.5, 0.5, [[-0.1], [0.1]], [1.0], "success probabilities must lie in [0, 1]"),
+            (0.5, 0.5, [[1.0], [0.1]], [1.0], "a joint machine with nonzero alpha*beta cannot have total success 1"),
+            (0.5, 0.5, good, [1.5], "probe overlaps must lie on the closed unit disk"),
+            (1.0 + 5e-13, 0.5, good, [1.0 + 5e-13], None),
+        ]
+        alpha, beta, r, p, want = zip(*rows)
+        batch = feasibility_core("joint", alpha, beta, 1, np.array(r), np.array(p))
+        for i, msg in enumerate(want):
+            assert (None if batch.error(i) is None else str(batch.error(i))) == msg
+            if msg is None:
+                assert batch.report(i).feasible and abs(batch.alpha[i]) <= 1.0 and abs(batch.p[i, 0]) <= 1.0
+            else:
+                with pytest.raises(ValidationError, match=re.escape(msg)):
+                    MachineSpec("joint", alpha[i], beta[i], 1, r[i], p[i])
+        two = feasibility_core("ncm", [0.5, 0.5], None, 2, np.array([[[0.6, 0.6], [0.1, 0.1]]] * 2))
+        assert str(two.error(1)) == "per-input success probabilities sum to 1.2 > 1"
+
+    def test_whole_call_faults(self):
+        r = np.full((2, 2, 1), 0.1)
+        cases = [
+            (("teleport", [0.5, 2.0], [0.5, 0.5], 1, r), ["unknown machine kind 'teleport'"] * 2),
+            (("joint", [0.5, 0.5], [0.5, 0.5], 0, r), ["copy depth m must be >= 1"] * 2),
+            (("joint", [0.5, 2.0], None, 1, r), ["kind 'joint' requires beta", "|alpha| = 2 exceeds 1"]),
+            (("ncm", [0.5, 0.5], None, 2, r), ["r must have shape (2, 2), got (2, 1)"] * 2),
+            (("ncm", [0.5, 0.5], None, 1, r, np.ones((2, 2))), ["p must have shape (1,), got (2,)"] * 2),
+        ]
+        for args, want in cases:
+            batch = feasibility_core(*args)
+            assert [str(batch.error(i)) for i in range(2)] == want
 
 
 class TestResidualGram:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from clonekit.errors import InfeasibleError, NumericalError, ValidationError
-from clonekit.machine import MachineSpec, closed_form_det, feasible, ray_limit, ray_terms
-from clonekit.protocol import compose, decompose_two_step, f_value, strategy_success
+from clonekit.machine import MachineSpec, feasibility_core, feasible, ray_limit, ray_terms
+from clonekit.protocol import compose, decompose_many, decompose_two_step, f_value, strategy_success
 from helpers import random_dominant_spec, random_feasible_spec, random_member_pair
 
 
@@ -49,9 +49,8 @@ class TestHValue:
         assert f_value(0.0 * r[0], 0.0 * r[1], 0.5, 0.9) == pytest.approx(1 / 0.9)
         assert f_value(r[0], r[1], 0.5, 0.9) == pytest.approx(10 / 13)
         # H(0) > 1 > H(1): the determinant changes sign along the ray
-        r1, r2, s, t = supp_ray(WORKED)
-        assert closed_form_det(0.0, 0.0, 0.0, t) > 0.0
-        assert closed_form_det(r1, r2, s, t) < 0.0
+        assert feasible(MachineSpec("supplementary", 0.5, 0.9, 1, 0.0 * r)).det > 0.0
+        assert feasible(MachineSpec("supplementary", 0.5, 0.9, 1, r)).det < 0.0
 
     def test_worked_root(self):
         # 0.1875 t^2 - 0.55 t + 0.19 = 0
@@ -150,6 +149,33 @@ class TestDecompose:
     def test_requires_joint_kind(self):
         with pytest.raises(ValidationError):
             decompose_two_step(MachineSpec("ncm", 0.5, None, 1, [[0.1], [0.1]]))
+
+
+class TestDecomposeMany:
+    def test_rows_match_single_calls(self):
+        rng = np.random.default_rng(163)
+        for m in (1, 2, 3):
+            specs = [random_feasible_spec(rng, kind="joint", m=m, real_overlaps=bool(i % 2)) for i in range(40)]
+            r = np.stack([s.r for s in specs])
+            r[5, 0, 0] = 1.5  # an invalid row, and below a row that is likely infeasible
+            r[7] = 0.98 / m
+            batch = feasibility_core("joint", [s.alpha for s in specs], [s.beta for s in specs], m, r)
+            cases = set()
+            for i, plan in enumerate(decompose_many(batch)):
+                try:
+                    single = decompose_two_step(MachineSpec("joint", specs[i].alpha, specs[i].beta, m, r[i]))
+                except (ValidationError, InfeasibleError) as exc:
+                    assert type(plan) is type(exc) and str(plan) == str(exc)
+                    continue
+                for got in (plan, decompose_two_step(batch.spec(i))):  # a row, and a row's length-1 call
+                    assert (got.case_tag, got.root_t, got.composed_success) == (
+                        single.case_tag, single.root_t, single.composed_success)
+                    assert np.array_equal(got.supp.r, single.supp.r) and np.array_equal(got.ncm.r, single.ncm.r)
+                    assert (got.supp_report.det, got.ncm_report.slack) == (single.supp_report.det,
+                                                                         single.ncm_report.slack)
+                cases.add(plan.case_tag)
+            assert isinstance(decompose_many(batch)[5], ValidationError)
+        assert cases >= {"case2_I", "case2_II"}
 
 
 class TestCompose:
