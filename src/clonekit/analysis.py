@@ -37,7 +37,7 @@ from .machine import (
     ray_limit,
     ray_terms,
 )
-from .qlinalg import DEFAULT_TOL
+from .qlinalg import DEFAULT_TOL, kron_vectors
 from .states import KINDS
 
 _GRID_BUDGET = 10_000_000
@@ -426,34 +426,31 @@ def discrimination_convergence_many(requests: list[tuple[float, float, int]]) ->
     return out
 
 
-def _ptrace_last(rho: np.ndarray, d_keep: int, d_drop: int) -> np.ndarray:
-    """Partial trace over the trailing factor of a (d_keep*d_drop)^2 density matrix."""
-    return np.einsum("ijkj->ik", rho.reshape(d_keep, d_drop, d_keep, d_drop))
+_E0 = np.array([1.0, 0.0], dtype=np.complex128)
+_E1 = np.array([0.0, 1.0], dtype=np.complex128)
+_PLUS = (kron_vectors(_E1, _E0) + kron_vectors(_E0, _E1)) / np.sqrt(2.0)
+# The universal copier's images of |0> and |1> on system a, blank b and a
+# two-level machine register (up = |0>, down = |1>); they do not depend on
+# the input.
+_UQCM_OUT0 = np.sqrt(2.0 / 3.0) * kron_vectors(_E0, _E0, _E0) + np.sqrt(1.0 / 3.0) * kron_vectors(_PLUS, _E1)
+_UQCM_OUT1 = np.sqrt(2.0 / 3.0) * kron_vectors(_E1, _E1, _E1) + np.sqrt(1.0 / 3.0) * kron_vectors(_PLUS, _E0)
 
 
 def uqcm_distance(alpha_amp: float, beta_amp: float) -> float:
     """Single-copy distance Tr[(rho_out - rho_ideal)^2] of the universal copier.
 
-    Builds the input alpha|0> + beta|1>, applies the fixed
-    state-independent copying transformation on system a, blank b, and a
-    two-level machine register, traces back down to system a, and returns
-    the squared distance to the ideal output.  The value is 1/18 for every
-    input, which is what makes the machine universal.
+    Applies the fixed state-independent copying transformation to the
+    input alpha|0> + beta|1> on system a, blank b, and a two-level machine
+    register, traces back down to system a, and returns the squared
+    distance to the ideal output.  The value is 1/18 for every input,
+    which is what makes the machine universal.
     """
     a, b = complex(alpha_amp), complex(beta_amp)
     if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-9:
         raise ValidationError("input amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
-    e0 = np.array([1.0, 0.0], dtype=np.complex128)
-    e1 = np.array([0.0, 1.0], dtype=np.complex128)
-    up, down = e0, e1
-    plus = (np.kron(e1, e0) + np.kron(e0, e1)) / np.sqrt(2.0)
-    out0 = np.sqrt(2.0 / 3.0) * np.kron(np.kron(e0, e0), up) + np.sqrt(1.0 / 3.0) * np.kron(plus, down)
-    out1 = np.sqrt(2.0 / 3.0) * np.kron(np.kron(e1, e1), down) + np.sqrt(1.0 / 3.0) * np.kron(plus, up)
-    out = a * out0 + b * out1
-
-    rho_abx = np.outer(out, out.conj())
-    rho_ab = _ptrace_last(rho_abx, 4, 2)
-    rho_a = _ptrace_last(rho_ab, 2, 2)
+    # Tracing b and the register out of a pure state: rho_a = T T^dagger
+    # with T the output reshaped to (a, b x register).
+    t = (a * _UQCM_OUT0 + b * _UQCM_OUT1).reshape(2, 4)
     ideal = np.array([a, b], dtype=np.complex128)
-    diff = rho_a - np.outer(ideal, ideal.conj())
+    diff = t @ t.conj().T - np.outer(ideal, ideal.conj())
     return float(np.real(np.trace(diff @ diff)))

@@ -10,6 +10,8 @@ bounds, sweep, uqcm.  Reports are byte-identical for identical tasks (and
 seed), every float is serialized with 17 significant digits, and a report
 file can itself be passed back via --task to reproduce itself.  Exit codes:
 0 success, 2 validation error, 3 infeasible input, 4 numerical failure.
+A depth ``m`` or ``m_max`` above ``_MAX_DEPTH`` (1024) exits 2, as does a
+synthesis past the byte budgets of clonekit.synthesis.
 
 Every command handler takes a list of point tasks.  A plain command is a
 list of one; a sweep hands its handler all its points (in chunks of
@@ -55,6 +57,10 @@ COMMANDS = (
 
 _INT_FIELDS = {"m", "m_max", "shots", "input_index", "steps"}
 _SWEEP_MAX_POINTS = 10_000
+# Largest copy depth m (and bounds m_max) a task may ask for.  convergence
+# costs O(m_max^2) (about 0.1 s at the limit) and a depth-m report carries
+# O(m) numbers; synthesis stops earlier, at synthesis.VECTOR_BYTES_BUDGET.
+_MAX_DEPTH = 1024
 # Sweep points per list-handler call (the grid oracle's chunk); keeps the
 # stacks of a 2-axis sweep flat.
 _SWEEP_CHUNK = 1 << 16
@@ -139,6 +145,14 @@ def _number(value, name: str, integer: bool = False):
     return int(value)
 
 
+def _depth(value, name: str) -> int:
+    """An integer depth field (m or m_max) of at most _MAX_DEPTH; the solvers check the lower end."""
+    depth = _number(value, name, integer=True)
+    if depth > _MAX_DEPTH:
+        raise ValidationError(f"{name} = {depth} exceeds the depth limit {_MAX_DEPTH}")
+    return depth
+
+
 def _priors(task: dict) -> tuple[float, float]:
     value = task.get("priors", [0.5, 0.5])
     if not isinstance(value, (list, tuple)) or len(value) != 2:
@@ -221,7 +235,7 @@ def _problem_from_task(d: dict) -> OptimizationProblem:
         kind=kind,
         alpha=alpha,
         beta=beta,
-        m=_number(_require(d, "m"), "m", integer=True),
+        m=_depth(_require(d, "m"), "m"),
         priors=_priors(d),
         symmetric=bool(d.get("symmetric", True)),
     )
@@ -253,7 +267,7 @@ def _machine_fields(d: dict, default_kind: str | None = None) -> tuple:
         raise ValidationError("task is missing required field 'kind'")
     alpha = _parse_complex(_require(d, "alpha"), "alpha")
     beta = _parse_complex(d["beta"], "beta") if d.get("beta") is not None else None
-    m = _number(_require(d, "m"), "m", integer=True)
+    m = _depth(_require(d, "m"), "m")
     r = _require(d, "r")
     p = d.get("p")
     if p is not None:
@@ -448,22 +462,22 @@ def _bound_items(task: dict, advantage: list, slots: list) -> list:
             elif q == "discrimination_bound":
                 beta = _parse_complex(_require(task, "beta"), "beta")
                 items.append((q, discrimination_bound(
-                    abs(alpha), abs(beta), _number(task.get("m", 1), "m", integer=True),
+                    abs(alpha), abs(beta), _depth(task.get("m", 1), "m"),
                     _number(task.get("p_m", 0.0), "p_m"),
                 )))
             elif q == "advantage":
                 beta = _parse_complex(_require(task, "beta"), "beta")
-                request = (alpha, beta, _number(task.get("m", 1), "m", integer=True), _priors(task))
+                request = (alpha, beta, _depth(task.get("m", 1), "m"), _priors(task))
                 items.append((q, len(advantage)))
                 advantage.append(request)
             elif q == "convergence":
                 beta = _parse_complex(_require(task, "beta"), "beta")
-                request = (abs(alpha), abs(beta), _number(task.get("m_max", 8), "m_max", integer=True))
+                request = (abs(alpha), abs(beta), _depth(task.get("m_max", 8), "m_max"))
                 items.append((q, len(slots)))
                 slots.append(request)
             elif q == "single_slot_optimum":
                 beta = _parse_complex(_require(task, "beta"), "beta")
-                request = (abs(alpha), abs(beta), _number(task.get("m", 1), "m", integer=True))
+                request = (abs(alpha), abs(beta), _depth(task.get("m", 1), "m"))
                 items.append((q, len(slots)))
                 slots.append(request)
             else:

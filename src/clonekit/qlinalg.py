@@ -1,11 +1,13 @@
 """Dense complex linear-algebra kernel for small state vectors and matrices.
 
 Everything in here is plain numpy on immutable inputs: inner products,
-Kronecker products, 2x2 positive-semidefiniteness tests and Cholesky
-factors, and the extension of a partial isometry (a few vector pairs with
-matching Gram matrices) to a full unitary, kept in the low-rank form
-U = I + Q (W - I) Q^dagger.  The 2x2 routines are closed-form on purpose;
-no eigensolver is involved.
+Kronecker products of vectors (one outer product per factor, never
+``np.kron``), 2x2 positive-semidefiniteness tests and Cholesky factors, and
+the extension of a partial isometry (a few vector pairs with matching Gram
+matrices) to a full unitary, kept in the low-rank form
+U = I + Q (W - I) Q^dagger.  Its unitarity certificate is the spectral norm
+||U^dagger U - I||_2, read from a k x k matrix in O(dim k^2).  The 2x2
+routines are closed-form on purpose; no eigensolver is involved.
 """
 
 from __future__ import annotations
@@ -44,9 +46,17 @@ def norm(a) -> float:
     return float(np.linalg.norm(as_cvector(a)))
 
 
+def kron_vectors(*vectors: np.ndarray) -> np.ndarray:
+    """Kronecker product of 1-D arrays, left to right: one outer product and ravel per factor."""
+    out = vectors[0]
+    for v in vectors[1:]:
+        out = np.multiply.outer(out, v).ravel()
+    return out
+
+
 def tensor(a, b) -> np.ndarray:
     """Kronecker product of two vectors; dim(a)*dim(b) entries."""
-    return np.kron(as_cvector(a), as_cvector(b))
+    return kron_vectors(as_cvector(a), as_cvector(b))
 
 
 def _require_2x2_hermitian(h: np.ndarray, tol: float) -> np.ndarray:
@@ -104,11 +114,6 @@ def cholesky_psd2(h, tol: float = DEFAULT_TOL) -> np.ndarray:
     return L
 
 
-# Entries of U^dagger U - I formed per block in unitarity_defect; bounds its
-# memory to one block instead of a dim x dim matrix.
-_DEFECT_BLOCK_ENTRIES = 1 << 16
-
-
 @dataclass(frozen=True)
 class LowRankUnitary:
     """U = I + Q (W - I) Q^dagger, a unitary that moves only range(Q).
@@ -135,19 +140,20 @@ class LowRankUnitary:
         return np.eye(dim, dtype=np.complex128) + (self.q @ self._shift()) @ self.q.conj().T
 
     def unitarity_defect(self) -> float:
-        """max |U^dagger U - I| over all entries, from the factors alone.
+        """Spectral norm ||U^dagger U - I||_2, from the factors alone in O(dim k^2).
 
         With A = W - I and G = Q^dagger Q, U^dagger U - I = Q M Q^dagger
         where M = A + A^dagger + A^dagger G A, an identity that needs
-        neither Q nor W to be exactly orthonormal.  The entries are formed
-        one block of rows at a time.
+        neither Q nor W to be exactly orthonormal.  A thin QR Q = Q' R with
+        orthonormal Q' gives G = R^dagger R and leaves the norm at
+        ||R M R^dagger||_2, a k x k matrix.  The spectral norm bounds every
+        entry of U^dagger U - I, so it is never below the largest one.
         """
         a = self._shift()
-        gram = self.q.conj().T @ self.q
-        mq = (a + a.conj().T + a.conj().T @ gram @ a) @ self.q.conj().T
-        dim = self.q.shape[0]
-        rows = max(1, _DEFECT_BLOCK_ENTRIES // dim)
-        return max(float(np.max(np.abs(self.q[i:i + rows] @ mq))) for i in range(0, dim, rows))
+        r = np.linalg.qr(self.q, mode="r")
+        gram = r.conj().T @ r
+        core = r @ (a + a.conj().T + a.conj().T @ gram @ a) @ r.conj().T
+        return float(np.linalg.norm(core, 2))
 
 
 def _positive_qr_unitary(a: np.ndarray, tol: float) -> np.ndarray:
@@ -191,12 +197,12 @@ def low_rank_unitary(inputs, outputs, tol: float = DEFAULT_TOL) -> LowRankUnitar
     if n > dim:
         raise ValidationError("more vectors than dimensions")
 
-    x = np.column_stack(ins)
-    y = np.column_stack(outs)
+    stack = np.column_stack(ins + outs)
+    x, y = stack[:, :n], stack[:, n:]
     if np.max(np.abs(x.conj().T @ x - y.conj().T @ y)) > tol:
         raise ValidationError("Gram matrices of inputs and outputs disagree beyond tolerance")
 
-    q, r = np.linalg.qr(np.hstack([x, y]))
+    q, r = np.linalg.qr(stack)
     vx = _positive_qr_unitary(r[:, :n], tol)
     vy = _positive_qr_unitary(r[:, n:], tol)
     return LowRankUnitary(q=q, w=vy @ vx.conj().T)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .qlinalg import DEFAULT_TOL, as_cvector, inner
+from .qlinalg import DEFAULT_TOL, as_cvector, inner, kron_vectors
 
 KINDS = ("joint", "ncm", "supplementary")
 
@@ -75,11 +75,7 @@ def tensor_power(s: PureState, n: int) -> PureState:
     """n-fold Kronecker power; overlaps obey <a|b>^n."""
     if n < 1:
         raise ValidationError("tensor power requires n >= 1")
-    vec = s.amplitudes
-    out = vec
-    for _ in range(n - 1):
-        out = np.kron(out, vec)
-    return PureState(out)
+    return PureState(kron_vectors(*[s.amplitudes] * n))
 
 
 @dataclass(frozen=True)
@@ -103,6 +99,14 @@ class SpaceLayout:
     @property
     def total_dim(self) -> int:
         return self.ab_dim * self.probe_dim
+
+    def pad_stride(self, head_dim: int) -> int:
+        """AB index step of head (x) blank^j, a head on the first qubits padded to m+1.
+
+        The blank is |0>, so head[t] sits at index t * stride and every
+        other entry is zero: a strided write replaces j Kronecker factors.
+        """
+        return self.ab_dim // head_dim
 
     def slot_indices(self, k: int) -> tuple[int, int]:
         """Probe basis indices owned by success slot k (1-based)."""
@@ -140,13 +144,6 @@ class SpaceLayout:
             vec[hi] = np.sqrt(max(1.0 - min(abs(p), 1.0) ** 2, 0.0))
         return vec
 
-    def failure_probe(self, direction: int) -> np.ndarray:
-        if direction not in (0, 1):
-            raise ValidationError("failure direction must be 0 or 1")
-        vec = np.zeros(self.probe_dim, dtype=np.complex128)
-        vec[self.failure_indices[direction]] = 1.0
-        return vec
-
 
 _BLANK = np.array([1.0, 0.0], dtype=np.complex128)
 
@@ -155,13 +152,6 @@ def _require_qubit(s: PureState, name: str) -> np.ndarray:
     if s.dim != 2:
         raise ValidationError(f"{name} must be a qubit (dimension 2), got {s.dim}")
     return s.amplitudes
-
-
-def _kron_all(parts: list[np.ndarray]) -> np.ndarray:
-    out = parts[0]
-    for p in parts[1:]:
-        out = np.kron(out, p)
-    return out
 
 
 def embed_input(kind: str, psi: PureState, phi: PureState | None, layout: SpaceLayout) -> np.ndarray:
@@ -183,7 +173,7 @@ def embed_input(kind: str, psi: PureState, phi: PureState | None, layout: SpaceL
         if phi is None:
             raise ValidationError("supplementary kind requires phi")
         parts = [_require_qubit(phi, "phi")] + [_BLANK] * m
-    return np.kron(_kron_all(parts), layout.ready_probe())
+    return kron_vectors(*parts, layout.ready_probe())
 
 
 def copies_in_slot(kind: str, k: int, m: int) -> int:
@@ -198,8 +188,7 @@ def copies_in_slot(kind: str, k: int, m: int) -> int:
 def target_ab(kind: str, psi: PureState, k: int, layout: SpaceLayout) -> np.ndarray:
     """AB factor of a success branch: copies of psi padded with blanks."""
     n_copies = copies_in_slot(kind, k, layout.m)
-    parts = [_require_qubit(psi, "psi")] * n_copies + [_BLANK] * (layout.m + 1 - n_copies)
-    return _kron_all(parts)
+    return kron_vectors(*[_require_qubit(psi, "psi")] * n_copies, *[_BLANK] * (layout.m + 1 - n_copies))
 
 
 def target_output(kind: str, psi: PureState, k: int, layout: SpaceLayout, probe_vector) -> np.ndarray:
@@ -220,4 +209,4 @@ def target_output(kind: str, psi: PureState, k: int, layout: SpaceLayout, probe_
     nrm = np.linalg.norm(probe)
     if abs(nrm - 1.0) > 1e-9:
         raise ValidationError("probe vector must be unit norm")
-    return np.kron(target_ab(kind, psi, k, layout), probe)
+    return kron_vectors(target_ab(kind, psi, k, layout), probe)

@@ -9,6 +9,15 @@ directions).  Measurement statistics are then exact: apply U to each input
 through the factors, project the probe register onto each slot subspace
 (or the failure subspace) and read off probabilities and post-selected
 copy fidelities.
+
+Every step costs O(dim), dim = 2^(m+1) (2m+3): the copies psi^(x)n are
+built once per input from outer products, each output is written as an
+(AB, probe) table with each slot's copies placed by stride (the blanks are
+|0>), a fidelity is ||ideal^dagger cols||^2 / prob with no density matrix,
+and the unitarity certificate ||U^dagger U - I||_2 is read from k x k
+factors.  ``VECTOR_BYTES_BUDGET`` bounds the depth by the size of one
+dim-sized vector; ``DENSE_BYTES_BUDGET`` bounds the dense matrix, which is
+built only on request.
 """
 
 from __future__ import annotations
@@ -20,11 +29,17 @@ import numpy as np
 
 from .errors import InfeasibleError, NumericalError, ValidationError
 from .machine import MachineSpec, feasible, optimal_probe_overlaps
-from .qlinalg import DEFAULT_TOL, LowRankUnitary, cholesky_psd2, low_rank_unitary
-from .states import PureState, SpaceLayout, embed_input, overlap, target_ab, target_output
+from .qlinalg import DEFAULT_TOL, LowRankUnitary, cholesky_psd2, kron_vectors, low_rank_unitary
+from .states import PureState, SpaceLayout, copies_in_slot, embed_input, overlap
 
-# Guard on the total dimension 2^(m+1) * (2m+3); override via realize(max_m=...).
-DEFAULT_MAX_M = 6
+# Bytes one dim-sized complex vector may take, 16 * 2^(m+1) * (2m+3): 4 MiB
+# admits m <= 12 (3.5 MB).  realize, exact_statistics and the defect hold
+# about 16 such vectors at their peak, so the deepest synthesis stays under
+# 60 MB.
+VECTOR_BYTES_BUDGET = 4 << 20
+# Bytes the dense dim x dim matrix may take: 64 MiB admits m <= 6 (59 MB).
+DENSE_BYTES_BUDGET = 64 << 20
+_COMPLEX_BYTES = np.dtype(np.complex128).itemsize
 
 
 @dataclass(frozen=True)
@@ -32,10 +47,15 @@ class UnitaryRealization:
     """A machine's unitary together with its labeled embedding.
 
     ``unitary`` holds the unitary in low-rank form; ``matrix`` builds the
-    dense dim x dim matrix on first access, which costs O(dim^2) memory.
+    dense dim x dim matrix on first access, which costs O(dim^2) memory and
+    raises ValidationError past ``DENSE_BYTES_BUDGET``.
     ``failure_amplitudes`` is the lower-triangular Cholesky factor L of the
     residual Gram matrix; row i holds the two failure-direction amplitudes
     of input i, so |L[i,0]|^2 + |L[i,1]|^2 = 1 - sum_k r_k^(i).
+    ``copies[i][k-1]`` is psi_i^(x)n, the n = copies_in_slot(kind, k, m)
+    copies slot k emits; the ideal AB state of that slot is those copies
+    followed by blanks, i.e. the factor at stride
+    ``layout.pad_stride(2^n)``.
     """
 
     layout: SpaceLayout
@@ -45,9 +65,15 @@ class UnitaryRealization:
     spec: MachineSpec
     failure_amplitudes: np.ndarray
     psi: tuple[PureState, PureState]
+    copies: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
 
     @cached_property
     def matrix(self) -> np.ndarray:
+        dim = self.layout.total_dim
+        if dim * dim * _COMPLEX_BYTES > DENSE_BYTES_BUDGET:
+            raise ValidationError(
+                f"the dense {dim} x {dim} matrix exceeds the {DENSE_BYTES_BUDGET} byte budget"
+            )
         return self.unitary.dense()
 
 
@@ -70,16 +96,20 @@ def realize(
     psi: tuple[PureState, PureState],
     phi: tuple[PureState, PureState] | None = None,
     tol: float = DEFAULT_TOL,
-    max_m: int = DEFAULT_MAX_M,
 ) -> UnitaryRealization:
     """Build the unitary realizing a feasible spec on concrete states.
 
     ``psi`` are the original qubits and ``phi`` the supplementary qubits
     (required unless kind is "ncm").  Their overlaps must match the spec's
-    alpha and beta within ``tol``.
+    alpha and beta within ``tol``.  A depth whose dim-sized vector exceeds
+    ``VECTOR_BYTES_BUDGET`` raises ValidationError before anything is built.
     """
-    if spec.m > max_m:
-        raise ValidationError(f"copy depth {spec.m} exceeds the dimension cap {max_m}")
+    layout = SpaceLayout(spec.m)
+    if layout.total_dim * _COMPLEX_BYTES > VECTOR_BYTES_BUDGET:
+        raise ValidationError(
+            f"copy depth {spec.m} needs {layout.total_dim * _COMPLEX_BYTES} bytes per state vector,"
+            f" over the {VECTOR_BYTES_BUDGET} byte budget"
+        )
     if abs(overlap(psi[0], psi[1]) - spec.alpha) > tol:
         raise ValidationError("psi overlap disagrees with spec.alpha")
     if spec.kind != "ncm":
@@ -95,27 +125,35 @@ def realize(
         raise InfeasibleError("spec is infeasible; no unitary exists")
     failure_amps = cholesky_psd2(report.residual, tol)
 
-    layout = SpaceLayout(spec.m)
-    blank_ab = np.zeros(layout.ab_dim, dtype=np.complex128)
-    blank_ab[0] = 1.0  # |0...0> on the copy register
-    fail_dirs = [np.kron(blank_ab, layout.failure_probe(d)) for d in (0, 1)]
-
+    m = spec.m
+    n_copies = [copies_in_slot(spec.kind, k, m) for k in range(1, m + 1)]
     inputs = []
     outputs = []
+    copies = []
     for i in range(2):
         inputs.append(embed_input(spec.kind, psi[i], None if phi is None else phi[i], layout))
-        out = np.zeros(layout.total_dim, dtype=np.complex128)
-        for k in range(1, spec.m + 1):
+        powers = [psi[i].amplitudes]  # powers[n-1] = psi_i^(x)n
+        while len(powers) < max(n_copies):
+            powers.append(kron_vectors(powers[-1], psi[i].amplitudes))
+        copies.append(tuple(powers[n - 1] for n in n_copies))
+        # Output i as an (AB, probe) table: slot k's copies (x) blanks in its
+        # two probe columns, the failure branch on |0...0> (x) failure probes.
+        table = np.zeros((layout.ab_dim, layout.probe_dim), dtype=np.complex128)
+        for k in range(1, m + 1):
             amp = np.sqrt(spec.r[i, k - 1])
             if amp == 0.0:
                 continue
-            probe = layout.slot_probe(k, i, p[k - 1])
-            out += amp * target_output(spec.kind, psi[i], k, layout, probe)
+            lo, hi = layout.slot_indices(k)
+            probe = layout.slot_probe(k, i, p[k - 1])[lo:hi + 1]
+            head = copies[i][k - 1]
+            # Added into the zero table, not assigned, so every zero entry is
+            # +0 as in a sum of branches: the completion of U off the input
+            # span follows the exact bits of the outputs.
+            table[:: layout.pad_stride(head.size), lo:hi + 1] += amp * np.multiply.outer(head, probe)
         # Conjugated row of L so the failure branch's Gram equals L L^dagger,
         # i.e. the residual itself.
-        for d in (0, 1):
-            out += np.conj(failure_amps[i, d]) * fail_dirs[d]
-        outputs.append(out)
+        table[0, list(layout.failure_indices)] += np.conj(failure_amps[i])
+        outputs.append(table.ravel())
 
     gram_in = np.array([[np.vdot(a, b) for b in inputs] for a in inputs])
     gram_out = np.array([[np.vdot(a, b) for b in outputs] for a in outputs])
@@ -130,6 +168,7 @@ def realize(
         spec=spec_p,
         failure_amplitudes=failure_amps,
         psi=(psi[0], psi[1]),
+        copies=(copies[0], copies[1]),
     )
 
 
@@ -137,16 +176,14 @@ def exact_statistics(rz: UnitaryRealization) -> OutcomeDistribution:
     """Slot probabilities and post-selected copy fidelities, computed exactly.
 
     The machine output for input i is reshaped to (AB, probe); projecting
-    the probe columns of slot k gives that slot's probability, and the
-    conditional AB density matrix is compared against the ideal copy state.
+    the probe columns of slot k gives that slot's probability ``prob``, and
+    the fidelity <ideal|rho|ideal> of the conditional AB state
+    rho = cols cols^dagger / prob is ||ideal^dagger cols||^2 / prob.  The
+    ideal copies are nonzero only on the rows at their pad stride, so each
+    slot costs O(ab_dim) and no density matrix is formed.
     """
     layout = rz.layout
     m = rz.spec.m
-    ideals = [
-        [target_ab(rz.spec.kind, rz.psi[i], k, layout) for k in range(1, m + 1)]
-        for i in range(2)
-    ]
-
     probs = np.zeros((2, m))
     fids = np.zeros((2, m))
     fails = np.zeros(2)
@@ -159,9 +196,9 @@ def exact_statistics(rz: UnitaryRealization) -> OutcomeDistribution:
             prob = float(np.sum(np.abs(cols) ** 2))
             probs[i, k - 1] = prob
             if prob > 1e-15:
-                rho = (cols @ cols.conj().T) / prob
-                ideal = ideals[i][k - 1]
-                fids[i, k - 1] = float(np.real(np.vdot(ideal, rho @ ideal)))
+                head = rz.copies[i][k - 1]
+                amps = head.conj() @ cols[:: layout.pad_stride(head.size)]
+                fids[i, k - 1] = float(np.sum(np.abs(amps) ** 2)) / prob
             else:
                 fids[i, k - 1] = 1.0  # empty branch: nothing to post-select
         fails[i] = float(np.sum(np.abs(table[:, non_slot]) ** 2))

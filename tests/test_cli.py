@@ -549,3 +549,55 @@ class TestRobustFields:
     def test_exit_2_without_traceback(self, tmp_path, capsys, command, payload):
         code, _, err = run(capsys, [command, "--task", write_task(tmp_path, "t.json", payload)])
         assert code == 2 and err.startswith("clonekit: validation error:")
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize("command,payload", [
+        ("feasibility", {"kind": "ncm", "alpha": 0.5, "m": 1025, "r": [[0.0] * 1025] * 2}),
+        ("optimize", {"kind": "ncm", "alpha": 0.5, "m": 1025}),
+        ("bounds", {"alpha": 0.5, "beta": 0.7, "m": 1025}),
+        ("bounds", {"alpha": 0.5, "beta": 0.7, "m": 1025, "quantities": ["advantage"]}),
+        ("bounds", {"alpha": 0.5, "beta": 0.7, "m": 1025, "quantities": ["single_slot_optimum"]}),
+        ("bounds", {"alpha": 0.5, "beta": 0.7, "m_max": 1025, "quantities": ["convergence"]}),
+    ], ids=["feasibility", "optimize", "bounds-m", "advantage-m", "single-slot-m", "convergence-m_max"])
+    def test_past_the_limit_exits_2(self, tmp_path, capsys, command, payload):
+        code, out, err = run(capsys, [command, "--task", write_task(tmp_path, "t.json", payload)])
+        assert code == 2 and out == ""
+        assert err.startswith("clonekit: validation error:") and "exceeds the depth limit 1024" in err
+
+    def test_at_the_limit_runs(self, tmp_path, capsys):
+        task = write_task(tmp_path, "t.json", {"command": "optimize", "kind": "ncm", "alpha": 0.5, "m": 1024})
+        code, out, _ = run(capsys, ["optimize", "--task", task])
+        assert code == 0 and len(json.loads(out)["results"]["r_star"][0]) == 1024
+
+    def test_sweep_point_just_past_the_limit(self, tmp_path, capsys):
+        def sweep(start, stop):
+            return write_task(tmp_path, "s.json", {
+                "command": "sweep",
+                "run": {"command": "bounds", "alpha": 0.5, "beta": 0.7, "quantities": ["discrimination_bound"]},
+                "sweep": [{"name": "m", "start": start, "stop": stop, "steps": 3}]})
+
+        code, out, _ = run(capsys, ["sweep", "--task", sweep(1022, 1024)])
+        assert code == 0 and [row[0] for row in json.loads(out)["results"]["rows"]] == [1022, 1023, 1024]
+        code, out, err = run(capsys, ["sweep", "--task", sweep(1023, 1025)])
+        assert code == 2 and out == ""
+        assert "m = 1025 exceeds the depth limit 1024" in err
+
+
+class TestSynthesisBudget:
+    def _task(self, tmp_path, m, **extra):
+        return write_task(tmp_path, "t.json", {**SYNTH_TASK, "m": m, "r": [[0.04] * m] * 2, **extra})
+
+    def test_deep_synthesis_within_the_budget(self, tmp_path, capsys):
+        code, out, _ = run(capsys, ["synthesize", "--task", self._task(tmp_path, 8)])
+        results = json.loads(out)["results"]
+        assert code == 0 and results["dimension"] == 512 * 19
+        assert results["unitarity_defect"] < 1e-10
+
+    def test_past_the_vector_budget_exits_2(self, tmp_path, capsys):
+        code, out, err = run(capsys, ["synthesize", "--task", self._task(tmp_path, 13)])
+        assert code == 2 and out == "" and "byte budget" in err
+
+    def test_dense_matrix_past_its_budget_exits_2(self, tmp_path, capsys):
+        code, out, err = run(capsys, ["synthesize", "--task", self._task(tmp_path, 7, emit_matrix=True)])
+        assert code == 2 and out == "" and "byte budget" in err

@@ -174,14 +174,19 @@ class TestLowRankUnitary:
                 assert np.max(np.abs(lr.apply(a) - b)) < 1e-12
 
     def test_factored_defect_of_exact_and_perturbed_factors(self):
+        # The certificate is the spectral norm ||U^dagger U - I||_2, which
+        # bounds the largest entry of U^dagger U - I from above.
         rng = np.random.default_rng(23)
         ins, outs = random_gram_matched(rng, 8)
         lr = low_rank_unitary(ins, outs)
-        dense = lr.dense()
-        assert lr.unitarity_defect() == pytest.approx(
-            np.max(np.abs(dense.conj().T @ dense - np.eye(8))), abs=1e-14)
         bad = LowRankUnitary(lr.q, lr.w * (1 + 1e-6))
-        bad_dense = bad.dense()
-        expected = np.max(np.abs(bad_dense.conj().T @ bad_dense - np.eye(8)))
-        assert expected > 1e-6
-        assert bad.unitarity_defect() == pytest.approx(expected, abs=1e-14)
+        # A non-scalar error in W and a Q that is not orthonormal.
+        skew_w = LowRankUnitary(lr.q, lr.w + 1e-6 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))))
+        skew_q = LowRankUnitary(lr.q + 1e-6 * rng.normal(size=(8, 4)), lr.w)
+        for u in (lr, bad, skew_w, skew_q):
+            dense = u.dense()
+            gap = dense.conj().T @ dense - np.eye(8)
+            assert u.unitarity_defect() == pytest.approx(np.linalg.norm(gap, 2), abs=1e-14)
+            assert u.unitarity_defect() >= np.max(np.abs(gap)) - 1e-15
+        for u in (bad, skew_w, skew_q):
+            assert u.unitarity_defect() > 1e-6

@@ -4,12 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from clonekit import synthesis
 from clonekit.errors import InfeasibleError, ValidationError
-from clonekit.machine import MachineSpec
+from clonekit.machine import MachineSpec, optimal_probe_overlaps
 from clonekit.qlinalg import LowRankUnitary
-from clonekit.states import basis_state, canonical_pair, tensor_power
+from clonekit.states import (
+    PureState, SpaceLayout, basis_state, canonical_pair, target_ab, target_output, tensor_power,
+)
 from clonekit.synthesis import exact_statistics, global_success, realize, sample
-from helpers import random_feasible_spec
+from helpers import boundary_scale, raw_r, random_feasible_spec
 
 
 def unitarity_defect(u):
@@ -63,10 +66,52 @@ class TestRealize:
         with pytest.raises(InfeasibleError):
             realize(bad, PSI, canonical_pair(0.8))
 
-    def test_dimension_cap(self):
+    def test_dimension_cap(self, monkeypatch):
+        # The byte budget on one state vector admits m = 12 and refuses m = 13
+        # before anything dim-sized is built.
+        assert SpaceLayout(12).total_dim * 16 <= synthesis.VECTOR_BYTES_BUDGET < SpaceLayout(13).total_dim * 16
+        deep = MachineSpec("joint", 0.5, 0.9, 13, np.full((2, 13), 0.01))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="byte budget"):
+                realize(deep, PSI, PHI)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < SpaceLayout(13).total_dim * 16
         spec = MachineSpec("joint", 0.5, 0.9, 3, np.full((2, 3), 0.05))
-        with pytest.raises(ValidationError):
-            realize(spec, PSI, PHI, max_m=2)
+        realize(spec, PSI, PHI)
+        monkeypatch.setattr(synthesis, "VECTOR_BYTES_BUDGET", SpaceLayout(2).total_dim * 16)
+        with pytest.raises(ValidationError, match="byte budget"):
+            realize(spec, PSI, PHI)
+
+    def test_outputs_are_the_branch_sum_bit_for_bit(self):
+        # Reference: the sum of each slot's target_output and the failure
+        # branches over the full space.  The low-rank completion off the input
+        # span follows the exact bits of the outputs, signed zeros included.
+        rng = np.random.default_rng(2028)
+        for _ in range(20):
+            spec, rz = _random_realization(rng)
+            layout = rz.layout
+            p = optimal_probe_overlaps(spec)
+            for i in range(2):
+                ref = np.zeros(layout.total_dim, dtype=np.complex128)
+                for k in range(1, spec.m + 1):
+                    amp = np.sqrt(spec.r[i, k - 1])
+                    if amp != 0.0:
+                        probe = layout.slot_probe(k, i, p[k - 1])
+                        ref += amp * target_output(spec.kind, rz.psi[i], k, layout, probe)
+                for d, index in enumerate(layout.failure_indices):
+                    ref[index] += np.conj(rz.failure_amplitudes[i, d])
+                assert rz.outputs[i].tobytes() == ref.tobytes()
+
+    def test_dense_matrix_budget(self):
+        # The dense matrix stays available up to m = 6 and is refused past it.
+        assert SpaceLayout(6).total_dim ** 2 * 16 <= synthesis.DENSE_BYTES_BUDGET
+        spec = MachineSpec("joint", 0.5, 0.9, 7, np.full((2, 7), 0.05))
+        rz = realize(spec, PSI, PHI)
+        with pytest.raises(ValidationError, match="byte budget"):
+            rz.matrix
 
 
 class TestExactStatistics:
@@ -260,3 +305,74 @@ class TestLowRankRealization:
         assert defect < 1e-10
         assert np.max(np.abs(dist.slot_probs - spec.r)) < 1e-9
         assert np.all(dist.copy_fidelities > 1.0 - 1e-9)
+
+    def test_depth_ten_in_linear_memory(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("dense matrix built")
+
+        monkeypatch.setattr(LowRankUnitary, "dense", refuse)
+        spec = MachineSpec("joint", 0.5, 0.9, 10, np.full((2, 10), 0.05))
+        tracemalloc.start()
+        try:
+            rz = realize(spec, PSI, PHI)
+            defect = rz.unitary.unitarity_defect()
+            dist = exact_statistics(rz)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dim = rz.layout.total_dim
+        assert dim == 47104
+        assert peak < 32 * dim * 16  # 32 dim-sized complex vectors
+        assert defect < 1e-10
+        assert np.max(np.abs(dist.slot_probs - spec.r)) < 1e-9
+        assert np.all(dist.copy_fidelities > 1.0 - 1e-9)
+
+
+def _reference_fidelities(rz):
+    """Copy fidelities through the conditional density matrix rho = cols cols^dagger / prob."""
+    layout = rz.layout
+    m = rz.spec.m
+    fids = np.zeros((2, m))
+    for i in range(2):
+        table = rz.unitary.apply(rz.inputs[i]).reshape(layout.ab_dim, layout.probe_dim)
+        for k in range(1, m + 1):
+            cols = table[:, list(layout.slot_indices(k))]
+            prob = float(np.sum(np.abs(cols) ** 2))
+            if prob > 1e-15:
+                rho = (cols @ cols.conj().T) / prob
+                ideal = target_ab(rz.spec.kind, rz.psi[i], k, layout)
+                fids[i, k - 1] = float(np.real(np.vdot(ideal, rho @ ideal)))
+            else:
+                fids[i, k - 1] = 1.0
+    return fids
+
+
+def _rotated_pair(rng, pair):
+    """The pair under one random 2 x 2 unitary: generic complex states, same overlap."""
+    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    v, _ = np.linalg.qr(z)
+    return tuple(PureState(v @ s.amplitudes) for s in pair)
+
+
+class TestFidelityReference:
+    def test_matches_density_matrix_route(self):
+        rng = np.random.default_rng(2027)
+        zero_slots = 0
+        for _ in range(40):
+            kind = ("joint", "ncm", "supplementary")[rng.integers(3)]
+            m = int(rng.integers(1, 6))
+            alpha = 0.9 * rng.random() * np.exp(2j * np.pi * rng.random())
+            beta = None if kind == "ncm" else (0.1 + 0.85 * rng.random()) * np.exp(2j * np.pi * rng.random())
+            r0 = raw_r(rng, m)
+            r0[rng.random((2, m)) < 0.3] = 0.0  # zero-probability slots
+            r = rng.uniform(0.1, 0.95) * boundary_scale(kind, alpha, beta, m, r0) * r0
+            spec = MachineSpec(kind, alpha, beta, m, r)
+            psi = _rotated_pair(rng, canonical_pair(alpha))
+            phi = None if beta is None else _rotated_pair(rng, canonical_pair(beta))
+            rz = realize(spec, psi, phi)
+            dist = exact_statistics(rz)
+            np.testing.assert_allclose(dist.copy_fidelities, _reference_fidelities(rz), rtol=0, atol=1e-13)
+            empty = dist.slot_probs <= 1e-15
+            assert np.all(dist.copy_fidelities[empty] == 1.0)
+            zero_slots += int(empty.sum())
+        assert zero_slots > 0
