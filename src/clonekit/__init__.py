@@ -31,7 +31,7 @@ _EXPORTS = {
         "TwoStepPlan", "compose", "decompose_many", "decompose_two_step", "f_value", "strategy_success",
     ),
     "qlinalg": (
-        "DEFAULT_TOL", "cholesky_psd2", "extend_to_unitary", "inner", "psd2_check", "tensor",
+        "DEFAULT_TOL", "cholesky_psd2", "inner", "psd2_check", "tensor",
     ),
     "states": (
         "PureState", "SpaceLayout", "basis_state", "canonical_pair", "embed_input", "overlap",
@@ -73,7 +73,6 @@ __all__ = [
     "duan_guo_bound",
     "embed_input",
     "exact_statistics",
-    "extend_to_unitary",
     "f_value",
     "feasibility_core",
     "feasible",

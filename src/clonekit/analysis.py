@@ -1,39 +1,30 @@
 """Closed-form bounds, success-probability optimization, and the universal-cloner checkpoint.
 
-The optimizer is deliberately derivative-free, and every boundary it meets is
-an exact quadratic root.  Symmetric problems reduce to one ray boundary per
-slot pattern (:func:`clonekit.machine.ray_limit`); asymmetric problems run
-coordinate ascent from three fixed starting points, one of them the
-symmetric optimum, and each coordinate step solves the determinant, a
-concave quadratic in u = sqrt(r_ik), for its upper root.  A brute-force grid
-oracle, scored in array chunks by the feasibility core, provides an
-independent check on every optimum.
-
-The symmetric optimum, the advantage and the single-slot sweep are
-batched: :func:`optimize_many`, :func:`ncmsi_advantage_many` and
-:func:`discrimination_convergence_many` solve every problem of one kind and
-depth as one array and assert all their optima in one core call, and the
-unbatched functions are their length-1 calls.  Asymmetric problems still
-run one at a time.
+With optimal probes an optimum puts all success weight in slot 1, which
+carries the largest overlap power, so it does not depend on the depth m.  A
+symmetric optimum is one ray boundary (:func:`clonekit.machine.ray_limit`);
+an asymmetric one is the best of the symmetric point, two row maxima and
+the root of a degree-6 KKT polynomial (at alpha = 0, the Jaeger-Shimony
+value).  A grid oracle, scored in chunks by the feasibility core, checks
+any optimum independently.  Every solver is batched: :func:`optimize_many`,
+:func:`ncmsi_advantage_many` and :func:`discrimination_convergence_many`
+solve the problems of one kind and depth as one array and assert them in
+one core call; the unbatched functions are their length-1 calls.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError, capture, unwrap
 from .machine import (
-    MachineSpec,
     _clamp_unit,
     _overlap_powers,
-    _stable_roots,
     _target,
     feasibility_core,
-    feasible,
     ray_limit,
     ray_terms,
 )
@@ -109,123 +100,110 @@ class OptimizationResult:
     method_trace: tuple[str, ...]
 
 
-def _spec(prob: OptimizationProblem, r: np.ndarray, p=None) -> MachineSpec:
-    return MachineSpec(prob.kind, prob.alpha, prob.beta, prob.m, r, p)
-
-
-def _strict_sum(prob: OptimizationProblem) -> bool:
-    return prob.kind == "joint" and abs(prob.alpha * (prob.beta or 0.0)) > 0.0
-
-
-def _row_cap(prob: OptimizationProblem) -> float:
-    return 1.0 - _CAP_MARGIN if _strict_sum(prob) else 1.0
-
-
-def _scale_limit(prob: OptimizationProblem, direction: np.ndarray, cap: float) -> float:
-    """Largest s in [0, cap] with s * direction feasible."""
-    return ray_limit(*ray_terms(prob.kind, prob.alpha, prob.beta, direction), cap)
-
-
-def _slot_matrix(m: int, slot: int, value: float) -> np.ndarray:
-    r = np.zeros((2, m))
-    r[:, slot - 1] = value
-    return r
-
-
 def _symmetric_limits(kind: str, alpha, beta, m: int, cap) -> np.ndarray:
     """Symmetric optimum R* per row: the slot-1 ray boundary of each (alpha, beta)."""
-    # All weight on slot 1: it carries the largest overlap power, so it
-    # relaxes the boundary most per unit of success probability.
-    return ray_limit(*ray_terms(kind, alpha, beta, _slot_matrix(m, 1, 1.0)), cap)
+    slot1 = np.zeros((2, m))
+    slot1[:, 0] = 1.0
+    return ray_limit(*ray_terms(kind, alpha, beta, slot1), cap)
 
 
-def _symmetric_trace(best: float) -> str:
-    return f"symmetric slot-1 boundary solve: R* = {best:.17g}"
+_CASES = ("symmetric", "row-1 maximum", "row-2 maximum", "KKT")  # candidates, in tie-break order
+_TIE = 1e-15  # candidate values this close to the best differ by rounding
+_NEWTON_TOL, _NEWTON_STEPS = 1e-12, 50  # Newton on a KKT root stops after a step below the tol
 
 
-def _optimize_symmetric(prob: OptimizationProblem, tol: float) -> tuple[np.ndarray, float, list[str]]:
-    best = _symmetric_limits(prob.kind, prob.alpha, prob.beta, prob.m, _row_cap(prob))
-    return _slot_matrix(prob.m, 1, best), best, [_symmetric_trace(best)]
+def _asymmetric_limits(kind: str, alpha, beta, priors: np.ndarray, cap: np.ndarray) -> np.ndarray:
+    """The row maxima and the KKT point (R1, R2) per row, shape (N, 3, 2), in ``_CASES[1:]`` order.
 
-
-def _coordinate_limit(r: np.ndarray, i: int, k: int, cap: float, weights: np.ndarray, t: float) -> float:
-    """Largest r[i, k] in [0, cap] that keeps r feasible with every other entry fixed.
-
-    With u = sqrt(r_ik), row i's failure weight is (1 - A) - u^2 (A the rest
-    of the row) and the off-diagonal modulus is max(0, D - w u) with
-    w = sqrt(r_jk) |alpha|^pow_k and D = |T| minus the other slots' share.
-    Below the kink D / w the determinant is the concave quadratic
-    -(1 - R_j + w^2) u^2 + 2 w D u + (1 - A)(1 - R_j) - D^2; above it only the
-    diagonal binds, and ``cap`` keeps that nonnegative.  Returns the current
-    value when rounding leaves no real root below the kink; the caller moves
-    only to a larger value.
+    The success branches cancel at most w_1 sqrt(R1 R2) of |T|, w_1 =
+    |alpha|^pow_1 the largest slot weight (Cauchy-Schwarz), so for every m
+    the optimum maximizes p1 R1 + p2 R2 subject to the convex
+    sqrt((1 - R1)(1 - R2)) + w_1 sqrt(R1 R2) >= |T| and R_i <= cap.  Unless a
+    cap binds (then the symmetric point reaches it), that is a row maximum
+    R_i = (1 - |T|^2)/(1 - w_1^2) with tan theta_j = w_1 tan theta_i
+    (R = sin^2 theta; the Jaeger-Shimony corner at w_1 = 0), or a KKT point.
+    With X = cos(theta1 - theta2), Y = cos(theta1 + theta2) the boundary is
+    Y = A - B X, A = 2|T|/(1 - w_1), B = (1 + w_1)/(1 - w_1); giving the
+    larger prior the larger theta, the objective is (1 - X Y + |p1 - p2|
+    sin(theta1 + theta2) sin|theta1 - theta2|)/2, and its stationarity on
+    the line, squared, is the polynomial of :func:`_kkt_polynomial`.  The
+    best real part of its companion eigenvalues is polished by Newton steps
+    on :func:`_kkt_slope`, stopped per row so that rows stay independent.
+    Rows with a zero prior or w_1 = 1 have no KKT point (NaN).
     """
-    j = 1 - i
-    cur = r[i, k]
-    amps = np.sqrt(r[0] * r[1]) * weights
-    fail_rest = 1.0 - (r[i].sum() - cur)
-    fail_j = 1.0 - r[j].sum()
-    w = math.sqrt(r[j, k]) * weights[k]
-    d = t - (amps.sum() - amps[k])
-    if d <= w * math.sqrt(cur):  # already past the kink: only the diagonal binds
-        return cap
-    qa, half_b, qc = -(fail_j + w * w), w * d, fail_rest * fail_j - d * d
-    _, hi = _stable_roots(qa, half_b, qc, half_b * half_b - qa * qc)
-    hi = float(hi)
-    if not 0.0 <= hi < math.inf:  # no real root, or w = 0 with row j at total success 1
-        return cur
-    return cap if w * hi >= d else min(cap, hi * hi)
+    w = np.abs(alpha) ** _overlap_powers(kind, 1)[0]
+    t = np.abs(_target(kind, alpha, beta))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        top = np.fmin(cap, (1.0 - t) * (1.0 + t) / ((1.0 - w) * (1.0 + w)))
+        lean = w * w * top  # sin^2 theta_j = lean / (cos^2 theta_i + lean)
+        other = np.where(lean > 0.0, lean / (1.0 - top + lean), 0.0)
+    kkt = np.full((len(t), 2), np.nan)
+    live = (priors[:, 0] * priors[:, 1] > 0.0) & (w < 1.0)
+    priors, w, t = priors[live], w[live], t[live]
+    coeffs = _kkt_polynomial(priors, w, t)
+    companion = np.zeros((len(t), 6, 6))
+    companion[:, np.arange(1, 6), np.arange(5)] = 1.0
+    companion[:, :, 5] = -coeffs[:, :6] / coeffs[:, 6:]
+    a, b = (2.0 * t / (1.0 - w))[:, None], ((1.0 + w) / (1.0 - w))[:, None]
+    delta = (priors[:, 0] - priors[:, 1])[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # v = |theta1 - theta2|; a root a rounding past X = 1 stands for v = 0.
+        v = np.arccos(np.fmin(np.linalg.eigvals(companion).real, 1.0))
+        value = np.einsum("nkj,nj->nk", _boundary_point(v, a, b, np.sign(delta)), priors)
+        v = v[np.arange(len(t)), np.where(np.isnan(value), -np.inf, value).argmax(axis=1)][:, None]
+        done = np.isnan(v)
+        for _ in range(_NEWTON_STEPS):
+            step = np.divide(*_kkt_slope(v, a, b, np.abs(delta)))
+            v = np.where(done, v, v - step)
+            done |= ~(np.abs(step) > _NEWTON_TOL)
+            if done.all():
+                break
+        kkt[live] = _boundary_point(v, a, b, np.sign(delta))[:, 0]
+    out = np.stack([np.stack([top, other], axis=-1), np.stack([other, top], axis=-1), kkt], axis=1)
+    return np.minimum(out, cap[:, None, None])
 
 
-def _coordinate_ascent(prob: OptimizationProblem, r0: np.ndarray, tol: float, trace: list[str]) -> np.ndarray:
-    pr = np.asarray(prob.priors)
-    r = r0.copy()
-    strict = _strict_sum(prob)
-    weights = abs(prob.alpha) ** _overlap_powers(prob.kind, prob.m)
-    t = abs(_target(prob.kind, prob.alpha, prob.beta))
-    for sweep in range(60):
-        gained = 0.0
-        for i in range(2):
-            if pr[i] == 0.0:
-                continue
-            for k in range(prob.m):
-                cur = r[i, k]
-                room = 1.0 - r[i].sum() + cur
-                if strict:
-                    room -= _CAP_MARGIN
-                hi = min(1.0, room)
-                if hi <= cur + 1e-15:
-                    continue
-                new = _coordinate_limit(r, i, k, hi, weights, t)
-                if new > cur:
-                    r[i, k] = new
-                    gained += new - cur
-        trace.append(f"sweep {sweep}: objective {float(np.sum(pr * r.sum(axis=1))):.17g}")
-        if gained < 1e-12:
-            break
-    return r
+def _kkt_polynomial(priors: np.ndarray, w: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Ascending coefficients (N, 7) of (Y - B X)^2 (1 - X^2)(1 - Y^2) - D (B Y (1 - X^2) - X (1 - Y^2))^2 in X.
+
+    Y = A - B X as in :func:`_asymmetric_limits` and D = (p1 - p2)^2; the
+    coefficients use E = 1 - D = 4 p1 p2, which does not cancel as a prior goes to 0.
+    """
+    p1, p2 = priors[:, 0], priors[:, 1]
+    a, b, d, e = 2.0 * t / (1.0 - w), (1.0 + w) / (1.0 - w), (p1 - p2) ** 2, 4.0 * p1 * p2
+    a2, b2 = a * a, b * b
+    return np.stack([
+        -a2 * (a2 - 1.0 + b2 * d),
+        2.0 * a * b * (a2 * (2.0 + e) + b2 * d - 1.0 - e),
+        a2 * (a2 * e + 1.0 - 2.0 * e - b2 * (5.0 + 8.0 * e)) + 4.0 * b2 - d * (1.0 + b2) ** 2,
+        2.0 * a * b * (b2 * (1.0 + 5.0 * e) - 3.0 * a2 * e + 3.0 * e - 1.0),
+        b2 * e * (13.0 * a2 - 4.0 * b2 - 4.0),
+        -12.0 * a * b2 * b * e,
+        4.0 * b2 * b2 * e,
+    ], axis=-1)
 
 
-def _optimize_asymmetric(prob: OptimizationProblem, tol: float) -> tuple[np.ndarray, float, list[str]]:
-    pr = np.asarray(prob.priors)
-    trace: list[str] = []
-    seeds: list[np.ndarray] = [np.zeros((2, prob.m))]
-    # Ascent only raises the objective, so seeding from the symmetric optimum
-    # itself keeps the asymmetric result at or above it.
-    sym_r, _, _ = _optimize_symmetric(prob, tol)
-    seeds.append(sym_r)
-    uniform = np.full((2, prob.m), 1.0 / prob.m)
-    scale = _scale_limit(prob, uniform, _row_cap(prob))
-    seeds.append(0.9 * scale * uniform)
+def _boundary_point(v: np.ndarray, a, b, sign) -> np.ndarray:
+    """(R1, R2) on the boundary Y = A - B X at v = |theta1 - theta2|; NaN where a theta leaves [0, pi/2]."""
+    half_sum = 0.5 * np.arccos(a - b * np.cos(v))
+    theta = np.stack([half_sum + 0.5 * sign * v, half_sum - 0.5 * sign * v], axis=-1)
+    theta[~((theta >= 0.0) & (theta <= 0.5 * np.pi)).all(axis=-1)] = np.nan
+    return np.sin(theta) ** 2
 
-    best_r, best_val = None, -1.0
-    for idx, seed in enumerate(seeds):
-        trace.append(f"seed {idx}")
-        r = _coordinate_ascent(prob, seed, tol, trace)
-        val = float(np.sum(pr * r.sum(axis=1)))
-        if val > best_val:
-            best_r, best_val = r, val
-    return best_r, best_val, trace
+
+def _kkt_slope(v: np.ndarray, a, b, gap) -> tuple[np.ndarray, np.ndarray]:
+    """K and dK/dv for the unsquared KKT condition: K = sin u sin v (Y - B X) + |p1 - p2| (X sin^2 u - B Y sin^2 v).
+
+    K is twice the objective's slope along the line times sin u, u = arccos Y.
+    """
+    s, c = np.sin(v), np.cos(v)
+    y = a - b * c
+    su2 = (1.0 - y) * (1.0 + y)
+    su, lever = np.sqrt(su2), y - b * c
+    k = su * s * lever + gap * (c * su2 - b * y * s * s)
+    dk = (su * c * lever - y * b * s * s * lever / su + 2.0 * b * su * s * s
+          - gap * s * (su2 + 4.0 * b * c * y + b * b * s * s))
+    return k, dk
 
 
 def optimize(prob: OptimizationProblem, tol: float = DEFAULT_TOL,
@@ -244,50 +222,63 @@ def optimize_many(probs: list[OptimizationProblem], tol: float = DEFAULT_TOL,
                   oracle_resolutions: list[float | None] | None = None) -> list:
     """:func:`optimize` for every problem of a list; one outcome per problem.
 
-    Symmetric problems of one kind and depth are solved as one array and
-    their optima asserted feasible in one core call; asymmetric problems
-    run one at a time.  Each outcome is the result, or the error that
-    problem's :func:`optimize` raises (see :mod:`clonekit.errors`).
+    Problems of one kind and depth, symmetric or not, are solved as one
+    array: a symmetric problem's one candidate is :func:`_symmetric_limits`,
+    an asymmetric one adds those of :func:`_asymmetric_limits`.  One core
+    call asserts every candidate, and each problem takes its best that
+    passes.  Each outcome is the result, or the error that problem's
+    :func:`optimize` raises (see :mod:`clonekit.errors`).
     """
     out: list = [None] * len(probs)
     groups: dict[tuple[str, int], list[int]] = {}
     for i, prob in enumerate(probs):
-        if prob.symmetric:
-            groups.setdefault((prob.kind, prob.m), []).append(i)
-        else:
-            out[i] = capture(_optimize_asymmetric_checked, prob, tol)
+        groups.setdefault((prob.kind, prob.m), []).append(i)
     for (kind, m), rows in groups.items():
         group = [probs[i] for i in rows]
-        alpha = [prob.alpha for prob in group]
-        beta = None if kind == "ncm" else [prob.beta for prob in group]
-        best = _symmetric_limits(kind, alpha, beta, m, np.array([_row_cap(prob) for prob in group]))
-        r_star = np.zeros((len(group), 2, m))
-        r_star[:, :, 0] = best[:, None]
-        batch = feasibility_core(kind, alpha, beta, m, r_star)
-        ok = batch.verdict(tol)
+        alpha = np.array([prob.alpha for prob in group])
+        beta = None if kind == "ncm" else np.array([prob.beta for prob in group])
+        cap = np.where(np.abs(alpha * beta) > 0.0, 1.0 - _CAP_MARGIN, 1.0) if kind == "joint" else np.ones(len(group))
+        best = _symmetric_limits(kind, alpha, beta, m, cap)
+        asym = [j for j, prob in enumerate(group) if not prob.symmetric]
+        cand = np.full((len(group), len(_CASES) if asym else 1, 2), np.nan)  # NaN faults in the core
+        cand[:, 0] = best[:, None]
+        if asym:
+            priors = np.array([prob.priors for prob in group])
+            cand[asym, 1:] = _asymmetric_limits(kind, alpha[asym], None if beta is None else beta[asym],
+                                                priors[asym], cap[asym])
+        width = cand.shape[1]
+        r = np.zeros((len(group) * width, 2, m))
+        r[:, :, 0] = cand.reshape(-1, 2)
+        batch = feasibility_core(kind, alpha.repeat(width), None if beta is None else beta.repeat(width), m, r)
+        passed = (batch.fault == 0) & batch.verdict(tol)
+        choice = [0] * len(group)
+        if asym:
+            score = np.where(passed.reshape(cand.shape[:2]), (cand * priors[:, None]).sum(axis=-1), -np.inf)
+            choice = (score >= score.max(axis=1, keepdims=True) - _TIE).argmax(axis=1).tolist()
+            at = cand[np.arange(len(group)), choice]  # the KKT residual is sin(priors, boundary normal) there
+            with np.errstate(divide="ignore", invalid="ignore"):  # NaN where a row is 0 or 1
+                normal = (np.abs(alpha[:, None]) ** _overlap_powers(kind, 1)[0] * np.sqrt(at[:, ::-1] / at)
+                          - np.sqrt((1.0 - at[:, ::-1]) / (1.0 - at)))
+                cross = priors[:, 0] * normal[:, 1] - priors[:, 1] * normal[:, 0]
+                residual = np.abs(cross) / (np.hypot(*priors.T) * np.hypot(*normal.T))
         for j, i in enumerate(rows):
-            if batch.fault[j]:
-                out[i] = batch.error(j)
-            elif not ok[j]:
-                out[i] = NumericalError("optimizer returned an infeasible point")
+            k = j * width + choice[j]
+            if not passed[k]:
+                out[i] = batch.error(k) or NumericalError("optimizer returned an infeasible point")
+                continue
+            if group[j].symmetric:
+                value, trace = float(best[j]), (f"symmetric slot-1 boundary solve: R* = {best[j]:.17g}",)
             else:
-                out[i] = OptimizationResult(r_star=batch.r[j], p_star=batch.p_used[j], value=float(best[j]),
-                                            oracle_value=None, method_trace=(_symmetric_trace(best[j]),))
+                value = float(score[j, choice[j]])
+                trace = (f"asymmetric slot-1 optimum, case {_CASES[choice[j]]}:"
+                         f" R* = ({r[k, 0, 0]:.17g}, {r[k, 1, 0]:.17g})", f"KKT residual {residual[j]:.3g}")
+            out[i] = OptimizationResult(r_star=batch.r[k], p_star=batch.p_used[k], value=value,
+                                        oracle_value=None, method_trace=trace)
     for i, resolution in enumerate(oracle_resolutions or ()):
         if resolution is not None and isinstance(out[i], OptimizationResult):
             oracle = capture(grid_oracle, probs[i], resolution)
             out[i] = oracle if isinstance(oracle, Exception) else dataclasses.replace(out[i], oracle_value=oracle)
     return out
-
-
-def _optimize_asymmetric_checked(prob: OptimizationProblem, tol: float) -> OptimizationResult:
-    r_star, value, trace = _optimize_asymmetric(prob, tol)
-    spec = _spec(prob, r_star)
-    report = feasible(spec, tol)
-    if not report.feasible:
-        raise NumericalError("optimizer returned an infeasible point")
-    return OptimizationResult(r_star=spec.r, p_star=report.p_used, value=float(value),
-                              oracle_value=None, method_trace=tuple(trace))
 
 
 def _grid_feasible(prob: OptimizationProblem, r: np.ndarray, tol: float) -> np.ndarray:

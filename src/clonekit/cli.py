@@ -15,8 +15,9 @@ synthesis past the byte budgets of clonekit.synthesis.
 
 Every command handler takes a list of point tasks.  A plain command is a
 list of one; a sweep hands its handler all its points (in chunks of
-``_SWEEP_CHUNK``), and feasibility, decompose, symmetric optimize and
-bounds solve the list with one feasibility-core call per (kind, m) group.
+``_SWEEP_CHUNK``), and feasibility, decompose, optimize (symmetric or
+not) and bounds solve the list with one feasibility-core call per
+(kind, m) group.
 A sweep row therefore equals the row made from that point's own report,
 and a failing sweep raises the error of its first failing point in
 product order, as the point would alone.  The argument parser is built

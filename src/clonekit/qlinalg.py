@@ -207,11 +207,3 @@ def low_rank_unitary(inputs, outputs, tol: float = DEFAULT_TOL) -> LowRankUnitar
     vy = _positive_qr_unitary(r[:, n:], tol)
     return LowRankUnitary(q=q, w=vy @ vx.conj().T)
 
-
-def extend_to_unitary(inputs, outputs, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Dense unitary U with U @ inputs[j] = outputs[j]; see low_rank_unitary.
-
-    Same preconditions and errors as low_rank_unitary; the dense matrix
-    costs O(dim^2 k) to build.
-    """
-    return low_rank_unitary(inputs, outputs, tol).dense()

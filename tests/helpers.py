@@ -218,3 +218,26 @@ def check_sweep_against_points(directory, task: dict) -> tuple[int, str, str]:
         want = [flat.get(key) for key in results["columns"][n_axes:]]
         assert _canonical(rows[combo]) == _canonical(want), combo
     return code, out, err
+
+
+def boundary_scan(kind: str, alpha, beta, priors, n: int = 100_000) -> float:
+    """Best p1 R1 + p2 R2 over n values of theta1 on the slot-1 feasibility boundary.
+
+    With R_i = sin^2 theta_i and all weight in slot 1, a machine is feasible
+    iff cos t1 cos t2 + w sin t1 sin t2 >= |T|, w = |alpha| (supplementary)
+    or |alpha|^2.  The left side is A cos(t2 - phi), (A, phi) the length and
+    angle of (cos t1, w sin t1), so for each t1 with A >= |T| the largest t2
+    is phi + arccos(|T|/A).  Rows are capped as the optimizer caps them.  A
+    lower bound on the optimum that shares no code with the optimizer.
+    """
+    a = abs(alpha)
+    w = a if kind == "supplementary" else a * a
+    t = {"joint": a * abs(beta or 0.0), "ncm": a, "supplementary": abs(beta or 0.0)}[kind]
+    cap = 1.0 - 1e-12 if kind == "joint" and t > 0.0 else 1.0
+    t1 = np.linspace(0.0, np.pi / 2, n)
+    length = np.hypot(np.cos(t1), w * np.sin(t1))
+    ok = length >= t
+    t1, length = t1[ok], length[ok]
+    t2 = np.minimum(np.pi / 2, np.arctan2(w * np.sin(t1), np.cos(t1)) + np.arccos(np.minimum(1.0, t / length)))
+    r1, r2 = np.minimum(np.sin(t1) ** 2, cap), np.minimum(np.sin(t2) ** 2, cap)
+    return float(np.max(priors[0] * r1 + priors[1] * r2))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,11 @@ from clonekit.analysis import (
     optimize_many,
     uqcm_distance,
 )
-from clonekit.analysis import _grid_feasible
+from clonekit.analysis import _grid_feasible, _kkt_polynomial
 from clonekit.errors import NumericalError, ValidationError
 from clonekit.machine import MachineSpec, feasible, ray_limit, ray_terms
 from clonekit.qlinalg import DEFAULT_TOL
-from helpers import rand_overlap
+from helpers import boundary_scan, rand_overlap
 
 
 class TestDuanGuoBound:
@@ -104,6 +106,127 @@ class TestOptimize:
     def test_bad_priors_rejected(self):
         with pytest.raises(ValidationError):
             OptimizationProblem("ncm", 0.5, None, 1, priors=(0.7, 0.2))
+
+
+def _random_problems(rng, count: int) -> list:
+    """Asymmetric problems of every kind, with alpha = 0, equal priors and zero priors among them."""
+    probs = []
+    for n in range(count):
+        kind = ("joint", "ncm", "supplementary")[n % 3]
+        alpha = 0.0 if n % 7 == 0 else rand_overlap(rng, 0.0, 0.99)
+        p0 = {0: 0.5, 1: 0.0, 2: 1.0}.get(n % 11, rng.uniform())
+        probs.append(OptimizationProblem(kind, alpha, rand_overlap(rng, 0.0, 1.0), int(rng.integers(1, 4)),
+                                         (p0, 1.0 - p0), symmetric=False))
+    return probs
+
+
+def _jaeger_shimony(beta_abs: float, priors) -> float:
+    """Unambiguous discrimination of two states with overlap |beta| (Phys. Lett. A 197, 83 (1995))."""
+    lo, hi = sorted(priors)
+    if lo >= hi * beta_abs**2:
+        return 1.0 - 2.0 * np.sqrt(lo * hi) * beta_abs
+    return hi * (1.0 - beta_abs**2)
+
+
+def _assert_kkt_certificate(prob, res) -> str:
+    """The KKT residual is small, or the trace names a closed-form case; returns the case."""
+    case = res.method_trace[0].split("case ")[1].split(":")[0]
+    if case == "KKT":
+        assert float(res.method_trace[1].split()[-1]) <= 1e-9, prob
+        assert _normal_sine(prob.kind, prob.alpha, prob.priors, res.r_star) <= 1e-9, prob
+    else:
+        assert case in ("symmetric", "row-1 maximum", "row-2 maximum"), res.method_trace
+    return case
+
+
+def _normal_sine(kind: str, alpha, priors, r_star) -> float:
+    """Sine of the angle between the priors and the boundary normal at R* (complex-step gradient)."""
+    w = abs(alpha) if kind == "supplementary" else abs(alpha) ** 2
+    r = r_star.sum(axis=1).astype(complex)
+    grad = []
+    for i in range(2):
+        z = r.copy()
+        z[i] += 1e-30j
+        grad.append((np.sqrt((1 - z[0]) * (1 - z[1])) + w * np.sqrt(z[0] * z[1])).imag / 1e-30)
+    cross = priors[0] * grad[1] - priors[1] * grad[0]
+    return abs(cross) / (np.hypot(*priors) * np.hypot(*grad))
+
+
+class TestAsymmetricOptimum:
+    """The asymmetric optimum is exact: closed forms, depth independence and independent scans."""
+
+    @pytest.mark.parametrize("beta, priors", [(0.3, (0.7, 0.3)), (0.6, (0.8, 0.2))])
+    def test_jaeger_shimony_at_alpha_zero(self, beta, priors):
+        # (0.7, 0.3) has p_min/p_max above |beta|^2 and (0.8, 0.2) below it.
+        for m in (1, 2, 3):
+            res = optimize(OptimizationProblem("supplementary", 0.0, beta, m, priors, symmetric=False))
+            assert abs(res.value - _jaeger_shimony(beta, priors)) <= 1e-13
+
+    def test_jaeger_shimony_on_random_priors(self):
+        rng = np.random.default_rng(163)
+        for _ in range(100):
+            beta, p0 = rand_overlap(rng, 0.0, 1.0), rng.uniform()
+            prob = OptimizationProblem("supplementary", 0.0, beta, 1, (p0, 1.0 - p0), symmetric=False)
+            res = optimize(prob)
+            assert abs(res.value - _jaeger_shimony(abs(beta), (p0, 1.0 - p0))) <= 1e-13
+            _assert_kkt_certificate(prob, res)  # below the threshold: the corner, not a root beside it
+
+    def test_joint_worked_value_at_every_depth(self):
+        for m in (1, 2, 3):
+            res = optimize(OptimizationProblem("joint", 0.5, 0.7, m, (0.7, 0.3), symmetric=False))
+            assert abs(res.value - 0.874662052065160) <= 1e-12
+            assert np.all(res.r_star[:, 1:] == 0.0)  # all weight in slot 1
+
+    def test_value_does_not_depend_on_depth(self):
+        rng = np.random.default_rng(167)
+        for prob in _random_problems(rng, 60):
+            values = {optimize(dataclasses.replace(prob, m=m)).value for m in (1, 2, 3, 4)}
+            assert len(values) == 1, prob
+
+    def test_equal_priors_reproduce_the_symmetric_value(self):
+        rng = np.random.default_rng(173)
+        for prob in _random_problems(rng, 60):
+            asym = optimize(dataclasses.replace(prob, priors=(0.5, 0.5)))
+            sym = optimize(dataclasses.replace(prob, priors=(0.5, 0.5), symmetric=True))
+            assert abs(asym.value - sym.value) <= 1e-13, prob
+
+    def test_swapped_priors_swap_the_rows(self):
+        rng = np.random.default_rng(179)
+        for prob in _random_problems(rng, 60):
+            res = optimize(prob)
+            swapped = optimize(dataclasses.replace(prob, priors=prob.priors[::-1]))
+            assert abs(res.value - swapped.value) <= 1e-15, prob
+            np.testing.assert_allclose(swapped.r_star, res.r_star[::-1], rtol=0.0, atol=1e-15)
+
+    def test_at_least_the_grid_oracle(self):
+        for prob in (OptimizationProblem("joint", 0.5, 0.7, 1, (0.7, 0.3), symmetric=False),
+                     OptimizationProblem("ncm", 0.6j, None, 1, (0.9, 0.1), symmetric=False),
+                     OptimizationProblem("supplementary", 0.3, 0.6, 1, (0.25, 0.75), symmetric=False)):
+            assert optimize(prob).value >= grid_oracle(prob, 1e-3) - 1e-12
+
+    def test_at_least_the_boundary_scan(self):
+        rng = np.random.default_rng(181)
+        probs = _random_problems(rng, 150)
+        for prob, res in zip(probs, optimize_many(probs)):
+            assert res.value >= boundary_scan(prob.kind, prob.alpha, prob.beta, prob.priors) - 1e-12, prob
+            assert feasible(MachineSpec(prob.kind, prob.alpha, prob.beta, prob.m, res.r_star)).feasible
+
+    def test_kkt_certificate(self):
+        rng = np.random.default_rng(191)
+        cases = {_assert_kkt_certificate(prob, optimize(prob)) for prob in _random_problems(rng, 150)}
+        assert cases == {"symmetric", "row-1 maximum", "row-2 maximum", "KKT"}
+
+    def test_kkt_polynomial_is_the_squared_stationarity(self):
+        rng = np.random.default_rng(197)
+        p0, w, t, x = rng.uniform(size=(4, 200))
+        priors = np.stack([p0, 1.0 - p0], axis=-1)
+        coeffs = _kkt_polynomial(priors, w, t)
+        a, b, d = 2.0 * t / (1.0 - w), (1.0 + w) / (1.0 - w), (2.0 * p0 - 1.0) ** 2
+        y = a - b * x
+        want = (y - b * x) ** 2 * (1 - x * x) * (1 - y * y) - d * (b * y * (1 - x * x) - x * (1 - y * y)) ** 2
+        powers = x[:, None] ** np.arange(7)
+        got = (coeffs * powers).sum(axis=1)
+        assert np.all(np.abs(got - want) <= 1e-12 * (np.abs(coeffs) * powers).sum(axis=1))
 
 
 class TestClosedFormOptima:
@@ -207,6 +330,26 @@ class TestAdvantage:
     def test_orthogonal_originals(self):
         joint_opt, ncm_opt, delta = ncmsi_advantage(0.0, 0.8, 1)
         assert joint_opt == 1.0 and ncm_opt == 1.0 and delta == 0.0
+
+    def test_closed_form_on_the_uncapped_interior(self):
+        # Criterion 7's gap (1 - |ab|)/(1 - |a|^2) - 1/(1 + |a|) wherever the
+        # joint optimum stays below total success 1, i.e. |b| > |a|.
+        grid = np.round(np.arange(0.1, 0.95, 0.1), 10)
+        for a in grid:
+            for b in grid[grid > a]:
+                _, _, delta = ncmsi_advantage(a, b, 1)
+                assert abs(delta - ((1.0 - a * b) / (1.0 - a * a) - 1.0 / (1.0 + a))) <= 1e-13, (a, b)
+
+    def test_unequal_priors_use_the_exact_optima(self):
+        rng = np.random.default_rng(193)
+        priors = (0.6, 0.4)
+        for _ in range(40):
+            a, b, m = rand_overlap(rng, 0.05, 0.95), rand_overlap(rng, 0.05, 1.0), int(rng.integers(1, 4))
+            joint_opt, ncm_opt, delta = ncmsi_advantage(a, b, m, priors)
+            assert delta >= 0.0 and delta == joint_opt - ncm_opt
+            for kind, value in (("joint", joint_opt), ("ncm", ncm_opt)):
+                scan = boundary_scan(kind, a, b, priors)
+                assert scan - 1e-12 <= value <= scan + 1e-8, (kind, a, b)
 
 
 class TestDiscriminationConvergence:

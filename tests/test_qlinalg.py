@@ -5,7 +5,6 @@ from clonekit.errors import ValidationError
 from clonekit.qlinalg import (
     LowRankUnitary,
     cholesky_psd2,
-    extend_to_unitary,
     inner,
     low_rank_unitary,
     psd2_check,
@@ -123,12 +122,14 @@ class TestCholeskyPsd2:
 
 
 class TestExtendToUnitary:
+    """The dense unitary of low_rank_unitary maps each input onto its output."""
+
     def test_identity_case(self):
-        u = extend_to_unitary([E0, E1], [E0, E1])
+        u = low_rank_unitary([E0, E1], [E0, E1]).dense()
         np.testing.assert_allclose(u, np.eye(2), atol=1e-12)
 
     def test_forced_mapped_direction(self):
-        u = extend_to_unitary([E0], [E1])
+        u = low_rank_unitary([E0], [E1]).dense()
         np.testing.assert_allclose(u @ E0, E1, atol=1e-12)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
 
@@ -136,7 +137,7 @@ class TestExtendToUnitary:
         rng = np.random.default_rng(13)
         for _ in range(1000):
             ins, outs = random_gram_matched(rng, 8)
-            u = extend_to_unitary(ins, outs)
+            u = low_rank_unitary(ins, outs).dense()
             assert np.max(np.abs(u.conj().T @ u - np.eye(8))) < 1e-10
             for a, b in zip(ins, outs):
                 assert np.max(np.abs(u @ a - b)) < 1e-10
@@ -144,17 +145,17 @@ class TestExtendToUnitary:
     def test_deterministic(self):
         rng = np.random.default_rng(17)
         ins, outs = random_gram_matched(rng, 6)
-        u1 = extend_to_unitary(ins, outs)
-        u2 = extend_to_unitary(ins, outs)
+        u1 = low_rank_unitary(ins, outs).dense()
+        u2 = low_rank_unitary(ins, outs).dense()
         np.testing.assert_array_equal(u1, u2)
 
     def test_gram_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            extend_to_unitary([E0], [0.5 * E0])
+            low_rank_unitary([E0], [0.5 * E0]).dense()
 
     def test_linear_dependence_rejected(self):
         with pytest.raises(ValidationError):
-            extend_to_unitary([E0, E0], [E0, E0])
+            low_rank_unitary([E0, E0], [E0, E0]).dense()
 
 
 class TestLowRankUnitary:

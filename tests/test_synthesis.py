@@ -6,7 +6,7 @@ import pytest
 
 from clonekit import synthesis
 from clonekit.errors import InfeasibleError, ValidationError
-from clonekit.machine import MachineSpec, optimal_probe_overlaps
+from clonekit.machine import MachineSpec
 from clonekit.qlinalg import LowRankUnitary
 from clonekit.states import (
     PureState, SpaceLayout, basis_state, canonical_pair, target_ab, target_output, tensor_power,
@@ -93,7 +93,7 @@ class TestRealize:
         for _ in range(20):
             spec, rz = _random_realization(rng)
             layout = rz.layout
-            p = optimal_probe_overlaps(spec)
+            p = rz.spec.p  # the probes realize used
             for i in range(2):
                 ref = np.zeros(layout.total_dim, dtype=np.complex128)
                 for k in range(1, spec.m + 1):
@@ -104,6 +104,14 @@ class TestRealize:
                 for d, index in enumerate(layout.failure_indices):
                     ref[index] += np.conj(rz.failure_amplitudes[i, d])
                 assert rz.outputs[i].tobytes() == ref.tobytes()
+
+    def test_gram_mismatch_is_a_validation_error(self, monkeypatch):
+        # A failure factor that breaks Gram(out) = Gram(in) is caught once,
+        # by low_rank_unitary's precondition (CLI exit 2).
+        exact = synthesis.cholesky_psd2
+        monkeypatch.setattr(synthesis, "cholesky_psd2", lambda h, tol: 0.5 * exact(h, tol))
+        with pytest.raises(ValidationError, match="Gram matrices"):
+            realize(WORKED, PSI, PHI)
 
     def test_dense_matrix_budget(self):
         # The dense matrix stays available up to m = 6 and is refused past it.
