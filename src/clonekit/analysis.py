@@ -47,10 +47,13 @@ def duan_guo_bound(alpha_abs: float) -> float:
 
 
 def discrimination_bound(alpha_abs: float, beta_abs: float, m: int, p_m_abs: float) -> float:
-    """Upper bound (1 - |alpha beta|) / (1 - |alpha|^m |p_m|) on slot-m success.
+    """Upper bound (1 - |alpha beta|) / (1 - |alpha|^m |p_m|) on one-slot success.
 
-    With ``p_m_abs`` = 0 this is 1 - |alpha beta|, the unambiguous
-    discrimination ceiling for the product pair.
+    ``m`` is the exponent of |alpha|, not a slot number: a joint slot k
+    carries |alpha|^(k+1), so the optimal-probe joint slot-m optimum is
+    ``discrimination_bound(a, b, m + 1, 1)``.  With ``p_m_abs`` = 0 this is
+    1 - |alpha beta|, the unambiguous discrimination ceiling for the
+    product pair.
     """
     a, b, q = float(alpha_abs), float(beta_abs), float(p_m_abs)
     if m < 1:
@@ -366,13 +369,15 @@ def ncmsi_advantage_many(requests: list[tuple]) -> list:
 
 
 def discrimination_convergence(alpha_abs: float, beta_abs: float, m_max: int) -> list[tuple[int, float]]:
-    """Symmetric optimum of the single-slot machine with orthogonal probe flags.
+    """Symmetric optimum of the single-slot machine with orthogonal probe flags, for m = 1..m_max.
 
-    For each depth m, only slot m is active and its probe overlap is pinned
-    to zero, so a success outcome identifies the input with certainty.  The
-    optimum is bounded by 1 - |alpha beta| for every m and approaches it:
-    orthogonal flags let the machine discriminate first and copy second.
-    A length-1 call of :func:`discrimination_convergence_many`.
+    At depth m only slot m is active and its probe overlap is pinned to
+    zero, so a success outcome identifies the input with certainty.  The
+    success branch then cancels none of the off-diagonal, which stays
+    |alpha beta|, so the optimum is min(cap, 1 - |alpha beta|) (to rounding;
+    cap = 1 - 1e-12 keeps the joint machine below total success 1) at every
+    depth, and the discrimination ceiling 1 - |alpha beta| holds by
+    construction.  A length-1 call of :func:`discrimination_convergence_many`.
     """
     return unwrap(discrimination_convergence_many([(alpha_abs, beta_abs, m_max)])[0])
 
@@ -380,40 +385,30 @@ def discrimination_convergence(alpha_abs: float, beta_abs: float, m_max: int) ->
 def discrimination_convergence_many(requests: list[tuple[float, float, int]]) -> list:
     """:func:`discrimination_convergence` for every (alpha_abs, beta_abs, m_max) of a list.
 
-    The single-slot optima of all requests are one array, and the depth-m
-    machines of every request that reaches depth m are asserted feasible
-    in one core call.  One outcome per request.
+    A depth-m machine whose one active slot m carries r and probe 0 has
+    the depth-1 machine's sums, diagonal, determinant and fault, bit for
+    bit.  So the optima of all requests with m_max >= 1 are one array,
+    asserted feasible at depth 1 in one core call, and each request
+    repeats its value for m = 1..m_max.  One outcome per request.
     """
-    out: list = []
-    live: list[tuple[int, float, float, int]] = []
-    for i, (a, b, m_max) in enumerate(requests):
-        a, b = float(a), float(b)
-        if 0.0 < a < 1.0 and 0.0 < b <= 1.0:
-            out.append([])
-            live.append((i, a, b, m_max))
-        else:
-            out.append(ValidationError("need 0 < alpha_abs < 1 and 0 < beta_abs <= 1"))
-    a = np.array([row[1] for row in live])
-    b = np.array([row[2] for row in live])
-    # With every probe overlap pinned to 0 the success branches cancel none
-    # of the off-diagonal, which stays |alpha beta| along the ray (S = 0).
+    out: list = [[] if 0.0 < float(a) < 1.0 and 0.0 < float(b) <= 1.0
+                 else ValidationError("need 0 < alpha_abs < 1 and 0 < beta_abs <= 1") for a, b, _ in requests]
+    rows = [i for i, res in enumerate(out) if isinstance(res, list) and requests[i][2] >= 1]
+    if not rows:
+        return out
+    a, b = np.array([requests[i][:2] for i in rows], dtype=float).T
+    # With the probe overlap pinned to 0 the success branch cancels none of
+    # the off-diagonal, which stays |alpha beta| along the ray (S = 0).
     best = ray_limit(1.0, 1.0, 0.0, a * b, 1.0 - _CAP_MARGIN)
-    for m in range(1, max((row[3] for row in live), default=0) + 1):
-        rows = [j for j, row in enumerate(live) if row[3] >= m and isinstance(out[row[0]], list)]
-        if not rows:
-            break
-        r = np.zeros((len(rows), 2, m))
-        r[:, :, m - 1] = best[rows, None]
-        batch = feasibility_core("joint", a[rows], b[rows], m, r, np.zeros((len(rows), m)))
-        ok = batch.verdict()
-        for k, j in enumerate(rows):
-            i = live[j][0]
-            if batch.fault[k]:
-                out[i] = batch.error(k)
-            elif not ok[k]:
-                out[i] = NumericalError("single-slot optimum failed the feasibility assertion")
-            else:
-                out[i].append((m, float(best[j])))
+    batch = feasibility_core("joint", a, b, 1, np.repeat(best[:, None, None], 2, axis=1), np.zeros((len(rows), 1)))
+    ok = batch.verdict()
+    for k, i in enumerate(rows):
+        if batch.fault[k]:
+            out[i] = batch.error(k)
+        elif not ok[k]:
+            out[i] = NumericalError("single-slot optimum failed the feasibility assertion")
+        else:
+            out[i] = [(m, float(best[k])) for m in range(1, requests[i][2] + 1)]
     return out
 
 

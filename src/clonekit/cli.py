@@ -21,7 +21,7 @@ not) and bounds solve the list with one feasibility-core call per
 A sweep row therefore equals the row made from that point's own report,
 and a failing sweep raises the error of its first failing point in
 product order, as the point would alone.  The argument parser is built
-once per process, and arrays are serialized in one pass.
+once per process, and arrays are serialized one last-axis row at a time.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from . import __version__
 from .errors import InfeasibleError, NumericalError, ValidationError, capture, unwrap
 from .machine import MachineSpec, feasibility_core, feasible
 from .qlinalg import DEFAULT_TOL
-from .states import PureState, canonical_pair, overlap
+from .states import PureState, canonical_pair
 
 # The analysis, protocol and synthesis modules are imported inside the
 # handlers that use them, so one process loads only what its command runs.
@@ -58,9 +58,10 @@ COMMANDS = (
 
 _INT_FIELDS = {"m", "m_max", "shots", "input_index", "steps"}
 _SWEEP_MAX_POINTS = 10_000
-# Largest copy depth m (and bounds m_max) a task may ask for.  convergence
-# costs O(m_max^2) (about 0.1 s at the limit) and a depth-m report carries
-# O(m) numbers; synthesis stops earlier, at synthesis.VECTOR_BYTES_BUDGET.
+# Largest copy depth m (and bounds m_max) a task may ask for: it bounds the
+# size of inputs and reports, since a depth-m task or report carries O(m)
+# numbers (convergence costs O(m_max)); synthesis stops earlier, at
+# synthesis.VECTOR_BYTES_BUDGET.
 _MAX_DEPTH = 1024
 # Sweep points per list-handler call (the grid oracle's chunk); keeps the
 # stacks of a 2-axis sweep flat.
@@ -103,28 +104,22 @@ def _canonical(obj) -> str:
 
 
 def _canonical_array(arr: np.ndarray) -> str:
-    """A float or complex array in one pass: every entry formatted as _canonical formats it."""
+    """A float or complex array, every entry formatted as _canonical formats it."""
     if arr.dtype.kind not in "fc" or arr.ndim == 0 or arr.size == 0:
         return _canonical(arr.tolist())
     if not np.isfinite(arr).all():
         raise NumericalError("cannot serialize a non-finite number")
+    return _array_rows(arr)
+
+
+def _array_rows(arr: np.ndarray) -> str:
+    """A finite array, recursing on the leading axis and formatting one last-axis row per join."""
+    if arr.ndim > 1:
+        return "[" + ",".join([_array_rows(sub) for sub in arr]) + "]"
     if arr.dtype.kind == "f":
-        cells = [f"{x:.17g}" for x in arr.ravel().tolist()]
-    else:
-        cells = [f"{x:.17g}" if y == 0.0 else f"[{x:.17g},{y:.17g}]"
-                 for x, y in zip(arr.real.ravel().tolist(), arr.imag.ravel().tolist())]
-    for n in reversed(arr.shape[1:]):
-        cells = [",".join(cells[i:i + n]) for i in range(0, len(cells), n)]
-        cells = [f"[{row}]" for row in cells]
-    return "[" + ",".join(cells) + "]"
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return _fmt_float(v)
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return str(v)
+        return "[" + ",".join([f"{x:.17g}" for x in arr.tolist()]) + "]"
+    return "[" + ",".join([f"{x:.17g}" if y == 0.0 else f"[{x:.17g},{y:.17g}]"
+                           for x, y in zip(arr.real.tolist(), arr.imag.tolist())]) + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +202,8 @@ def _state_pair(states: dict, name: str) -> tuple[PureState, PureState]:
     return _state_from(raw[0], f"{name}[0]"), _state_from(raw[1], f"{name}[1]")
 
 
-def _states_from_task(task: dict, spec: MachineSpec, tol: float):
+def _states_from_task(task: dict, spec: MachineSpec):
+    """The task's explicit states, or canonical ones; realize checks their overlaps against the spec."""
     states = task.get("states")
     if states is None:
         psi = canonical_pair(spec.alpha)
@@ -215,15 +211,7 @@ def _states_from_task(task: dict, spec: MachineSpec, tol: float):
         return psi, phi
     if not isinstance(states, dict):
         raise ValidationError("task field 'states' must be an object")
-    psi = _state_pair(states, "psi")
-    if abs(overlap(psi[0], psi[1]) - spec.alpha) > tol:
-        raise ValidationError("explicit psi states disagree with alpha beyond tolerance")
-    phi = None
-    if spec.kind != "ncm":
-        phi = _state_pair(states, "phi")
-        if abs(overlap(phi[0], phi[1]) - spec.beta) > tol:
-            raise ValidationError("explicit phi states disagree with beta beyond tolerance")
-    return psi, phi
+    return _state_pair(states, "psi"), None if spec.kind == "ncm" else _state_pair(states, "phi")
 
 
 def _problem_from_task(d: dict) -> OptimizationProblem:
@@ -284,7 +272,7 @@ def _machine_fields(d: dict, default_kind: str | None = None) -> tuple:
     return kind, alpha, beta, m, r, p
 
 
-def _spec_from_task(d: dict, tol: float, default_kind: str | None = None) -> MachineSpec:
+def _spec_from_task(d: dict, default_kind: str | None = None) -> MachineSpec:
     kind, alpha, beta, m, r, p = _machine_fields(d, default_kind)
     return MachineSpec(kind, alpha, beta, m, r, p)
 
@@ -383,8 +371,8 @@ def _cmd_decompose(tasks: list, tol: float, seed) -> list:
 def _cmd_compose(task: dict, tol: float, seed) -> dict:
     from .protocol import compose
 
-    supp = _spec_from_task(_require(task, "supp"), tol, default_kind="supplementary")
-    ncm = _spec_from_task(_require(task, "ncm"), tol, default_kind="ncm")
+    supp = _spec_from_task(_require(task, "supp"), default_kind="supplementary")
+    ncm = _spec_from_task(_require(task, "ncm"), default_kind="ncm")
     joint = compose(supp, ncm, tol)
     return {
         "r": joint.r,
@@ -397,8 +385,8 @@ def _cmd_compose(task: dict, tol: float, seed) -> dict:
 def _synthesize(task: dict, tol: float):
     from .synthesis import exact_statistics, global_success, realize
 
-    spec = _spec_from_task(task, tol)
-    psi, phi = _states_from_task(task, spec, tol)
+    spec = _spec_from_task(task)
+    psi, phi = _states_from_task(task, spec)
     rz = realize(spec, psi, phi, tol)
     dist = exact_statistics(rz)
     results = {
@@ -762,7 +750,7 @@ def main(argv=None) -> int:
             if args.command != "sweep":
                 raise ValidationError("csv output is only available for sweep tables")
             header = ",".join(results["columns"])
-            lines = [header] + [",".join(_csv_cell(v) for v in row) for row in results["rows"]]
+            lines = [header] + [",".join(_canonical(v) for v in row) for row in results["rows"]]
             _emit("\n".join(lines) + "\n", out_path)
         else:
             report = {

@@ -105,8 +105,8 @@ class MachineSpec:
         return dataclasses.replace(self, p=p)
 
     def as_batch(self) -> "MachineBatch":
-        """This machine as a length-1 :class:`MachineBatch`."""
-        return self._batch if len(self._batch) == 1 else self._batch.take([self._row])
+        """This machine as a length-1 :class:`MachineBatch`; a row of a larger batch is validated again alone."""
+        return self._batch if len(self._batch) == 1 else dataclasses.replace(self)._batch
 
 
 def _bind(spec: MachineSpec, batch: "MachineBatch", i: int) -> None:
@@ -216,16 +216,6 @@ class MachineBatch:
 
     def __len__(self) -> int:
         return len(self.fault)
-
-    def take(self, rows) -> "MachineBatch":
-        """The batch restricted to ``rows``."""
-        rows = np.asarray(rows, dtype=np.intp)
-
-        def pick(value):
-            return value[rows] if isinstance(value, np.ndarray) else value
-
-        return MachineBatch(self.kind, self.m, *(pick(getattr(self, name)) for name in self.__slots__[2:7]),
-                            off=pick(self._off), **{name: pick(getattr(self, name)) for name in _ARRAYS})
 
     def error(self, i: int) -> ValidationError | None:
         """The ValidationError ``MachineSpec`` raises for row i, or None for a valid row."""

@@ -16,11 +16,13 @@ from clonekit.analysis import (
     optimize_many,
     uqcm_distance,
 )
-from clonekit.analysis import _grid_feasible, _kkt_polynomial
+import clonekit.analysis
+from clonekit.analysis import _CAP_MARGIN, _grid_feasible, _kkt_polynomial
 from clonekit.errors import NumericalError, ValidationError
-from clonekit.machine import MachineSpec, feasible, ray_limit, ray_terms
+from clonekit.machine import MachineSpec, feasibility_core, feasible, ray_limit, ray_terms
 from clonekit.qlinalg import DEFAULT_TOL
 from helpers import boundary_scan, rand_overlap
+from test_sweep_batching import _break_row, _count_core_calls
 
 
 class TestDuanGuoBound:
@@ -385,6 +387,51 @@ class TestDiscriminationConvergence:
         assert all(later < earlier for earlier, later in zip(values, values[1:]))
         assert all(v > limit for v in values)
         assert values[-1] - limit < 0.01
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 64, 1024])
+    def test_single_slot_machine_does_not_depend_on_depth(self, m):
+        # The reason one depth-1 assertion covers every depth: slot m alone
+        # carries r, its probe is 0, and the core arrays the verdict reads
+        # equal the depth-1 arrays bit for bit.
+        rng = np.random.default_rng(211)
+        a = rng.uniform(0.01, 0.99, 500)
+        b = np.concatenate([[1.0] * 20, rng.uniform(0.01, 1.0, 480)])
+        best = ray_limit(1.0, 1.0, 0.0, a * b, 1.0 - _CAP_MARGIN)
+
+        def core(depth):
+            r = np.zeros((len(a), 2, depth))
+            r[:, :, depth - 1] = best[:, None]
+            return feasibility_core("joint", a, b, depth, r, np.zeros((len(a), depth)))
+
+        one, deep = core(1), core(m)
+        for name in ("fault", "sums", "diag", "det"):
+            assert np.array_equal(getattr(one, name), getattr(deep, name)), name
+        assert np.array_equal(one.verdict(), deep.verdict()) and one.verdict().all()
+        assert np.all(np.abs(best - np.minimum(1.0 - _CAP_MARGIN, 1.0 - a * b)) <= 1e-15)
+
+    def test_one_core_call_for_every_request_and_depth(self, monkeypatch):
+        calls = _count_core_calls(monkeypatch)
+        requests = [(0.5, 0.7, 1024), (0.3, 1.0, 1), (0.9, 0.2, 100), (0.0, 0.5, 8), (0.6, 0.5, 0)]
+        out = discrimination_convergence_many(requests)
+        assert calls == ["joint"]
+        assert [len(res) for res in out[:3]] == [1024, 1, 100]
+        assert [m for m, _ in out[0]] == list(range(1, 1025))
+        assert isinstance(out[3], ValidationError) and out[4] == []
+
+    def test_zero_depth_is_empty(self, monkeypatch):
+        calls = _count_core_calls(monkeypatch)
+        assert discrimination_convergence(0.5, 0.7, 0) == []
+        assert discrimination_convergence_many([(0.5, 0.7, 0), (0.4, 0.2, -3)]) == [[], []]
+        assert calls == []
+
+    def test_broken_row_fails_its_request_only(self, monkeypatch):
+        requests = [(0.1 * k, 0.6, 4) for k in range(1, 6)]
+        clean = discrimination_convergence_many(requests)
+        _break_row(monkeypatch, clonekit.analysis, "joint", 2, "det", -1.0)
+        out = discrimination_convergence_many(requests)
+        assert isinstance(out[2], NumericalError)
+        assert str(out[2]) == "single-slot optimum failed the feasibility assertion"
+        assert out[:2] + out[3:] == clean[:2] + clean[3:]
 
     def test_domain_validated(self):
         with pytest.raises(ValidationError):

@@ -300,6 +300,28 @@ class TestSweep:
         assert len(lines) == 4
         assert lines[1].split(",")[1] == "1"
 
+    def test_csv_missing_column_reads_null(self, tmp_path, capsys):
+        # "case" is a string, so it is not a scalar column; the JSON table
+        # writes null for it, and the CSV table writes the same cell.
+        payload = {"command": "sweep",
+                   "run": {"command": "decompose", "kind": "joint", "alpha": 0.5, "beta": 0.9, "m": 1,
+                           "r": [[0.5], [0.5]]},
+                   "sweep": [{"name": "beta", "start": 0.85, "stop": 0.95, "steps": 3}],
+                   "select": ["case", "root_t"]}
+        task = write_task(tmp_path, "t.json", payload)
+        code, out, err = run(capsys, ["sweep", "--task", task])
+        assert code == 0, err
+        rows = json.loads(out)["results"]["rows"]
+        code, out, err = run(capsys, ["sweep", "--task", task, "--format", "csv"])
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[0] == "beta,case,root_t"
+        assert len(lines) == 4
+        for line, row in zip(lines[1:], rows):
+            beta, case, root_t = line.split(",")
+            assert case == "null" and row[1] is None
+            assert float(beta) == row[0] and float(root_t) == row[2]
+
     def test_csv_only_for_sweep(self, tmp_path, capsys):
         task = write_task(tmp_path, "t.json", FEAS_TASK)
         assert run(capsys, ["feasibility", "--task", task, "--format", "csv"])[0] == 2
@@ -334,6 +356,16 @@ class TestMalformedStates:
         code, _, err = run(capsys, ["synthesize", "--task", task])
         assert code == 2
         assert "states.psi must be a list of two states" in err
+
+    @pytest.mark.parametrize("states,message", [
+        ({"psi": [[1.0, 0.0], [0.6, 0.8]], "phi": GOOD_PHI}, "psi overlap disagrees with spec.alpha"),
+        ({"psi": GOOD_PSI, "phi": [[1.0, 0.0], [0.8, 0.6]]}, "phi overlap disagrees with spec.beta"),
+        ({"psi": [[1.0, 0.0], [0.6, 0.8]], "phi": 5}, "states.phi must be a list of two states"),
+    ], ids=["psi", "phi", "malformed-phi-first"])
+    def test_overlap_mismatch(self, tmp_path, capsys, states, message):
+        # synthesis checks the explicit overlaps against the spec once, in realize
+        task = write_task(tmp_path, "t.json", {**SYNTH_TASK, "states": states})
+        assert run(capsys, ["synthesize", "--task", task]) == (2, "", f"clonekit: validation error: {message}\n")
 
     @pytest.mark.parametrize("phi", [5, "ab", [[1.0, 0.0]], [*GOOD_PHI, [0.0, 1.0]]])
     def test_phi_not_two_states(self, tmp_path, capsys, phi):
@@ -517,6 +549,23 @@ class TestArraySerialization:
         ]
         for obj in cases:
             assert _canonical(obj) == _reference_canonical(_reference_jsonify(obj))
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_random_arrays_match_list_form(self, ndim, dtype):
+        from clonekit.cli import _canonical
+
+        rng = np.random.default_rng(17 * ndim)
+        for _ in range(20):
+            shape = tuple(rng.integers(1, 6, size=ndim))
+            arr = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+            if dtype is complex:
+                arr = arr + 1j * rng.normal(size=shape) * (rng.random(shape) < 0.5)  # some entries real
+            flat = arr.reshape(-1)
+            flat[rng.random(flat.size) < 0.2] = -0.0
+            if dtype is complex:
+                flat[rng.random(flat.size) < 0.2] = complex(0.5, -0.0)
+            assert _canonical(arr) == _canonical(arr.tolist())
 
     def test_non_finite_entries_rejected(self):
         from clonekit.cli import _canonical
