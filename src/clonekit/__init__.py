@@ -28,7 +28,8 @@ _EXPORTS = {
         "optimal_probe_overlaps", "ray_limit", "ray_terms", "reduced_inequality", "residual_gram",
     ),
     "protocol": (
-        "TwoStepPlan", "compose", "decompose_many", "decompose_two_step", "f_value", "strategy_success",
+        "TwoStepBatch", "TwoStepPlan", "compose", "decompose_arrays", "decompose_many", "decompose_two_step",
+        "f_value", "strategy_success",
     ),
     "qlinalg": (
         "DEFAULT_TOL", "cholesky_psd2", "inner", "psd2_check", "tensor",
@@ -57,6 +58,7 @@ __all__ = [
     "OutcomeDistribution",
     "PureState",
     "SpaceLayout",
+    "TwoStepBatch",
     "TwoStepPlan",
     "UnitaryRealization",
     "ValidationError",
@@ -64,6 +66,7 @@ __all__ = [
     "canonical_pair",
     "cholesky_psd2",
     "compose",
+    "decompose_arrays",
     "decompose_many",
     "decompose_two_step",
     "discrimination_bound",

@@ -13,15 +13,23 @@ file can itself be passed back via --task to reproduce itself.  Exit codes:
 A depth ``m`` or ``m_max`` above ``_MAX_DEPTH`` (1024) exits 2, as does a
 synthesis past the byte budgets of clonekit.synthesis.
 
-Every command handler takes a list of point tasks.  A plain command is a
-list of one; a sweep hands its handler all its points (in chunks of
-``_SWEEP_CHUNK``), and feasibility, decompose, optimize (symmetric or
-not) and bounds solve the list with one feasibility-core call per
-(kind, m) group.
-A sweep row therefore equals the row made from that point's own report,
-and a failing sweep raises the error of its first failing point in
-product order, as the point would alone.  The argument parser is built
-once per process, and arrays are serialized one last-axis row at a time.
+Every command handler takes a list of point tasks and returns one
+columnar result (:class:`Columns`): a per-row error list and, for each
+report field, a dotted name with N values.  A plain command is a list of
+one and renders row 0 into its nested report.  A sweep hands its handler
+all its points (in chunks of ``_SWEEP_CHUNK``) and reads whole scalar
+columns; feasibility and decompose take them straight from the core's
+arrays, with no per-point spec, report or dict.  Feasibility, decompose,
+optimize (symmetric or not) and bounds solve the list with one
+feasibility-core call per (kind, m) group.
+A sweep row therefore equals the row made from that point's own report.
+Its columns are the sorted scalar leaves of the first point's report
+(bool, int, float, and complex with imaginary part 0, written as a float),
+or the ``select`` list of names; a cell without such a value reads null.
+``select`` is checked before any point runs; after that a failing sweep
+raises the error of its first failing point in product order, as the
+point would alone.  The argument parser is built once per process, and
+arrays are serialized one last-axis row at a time.
 """
 
 from __future__ import annotations
@@ -233,18 +241,122 @@ def _problem_from_task(d: dict) -> OptimizationProblem:
 # ---------------------------------------------------------------------------
 # command handlers
 #
-# Every handler takes a list of point tasks and returns one outcome per task
-# (see clonekit.errors): the results dict, or the exception that task
-# raises on its own.  A plain command is a list of one; a sweep passes all
-# its points at once, and feasibility, decompose, optimize and bounds then
-# solve the whole list with one feasibility-core call per (kind, m) group.
+# Every handler takes a list of point tasks and returns one Columns: each
+# task's error (the exception it raises on its own, see clonekit.errors), and
+# the results of the others as columns.  A plain command is a list of one
+# and renders its row; a sweep passes all its points at once and reads whole
+# scalar columns.  feasibility, decompose, optimize and bounds solve the
+# whole list with one feasibility-core call per (kind, m) group.
+
+def _cell(value):
+    """A value as a sweep cell: bool, int or float, a real complex as a float, else None."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, complex):
+        return float(value.real) if value.imag == 0.0 else None
+    return value if isinstance(value, (bool, int, float)) else None
+
+
+class Columns:
+    """The results of N tasks: a per-row error list, and each report field as a dotted name with N values.
+
+    ``errors[i]`` is None or row i's exception.  The other rows' results
+    come in blocks ``(rows, report, scalars)``, one per batch a handler
+    solved.  ``report(j)`` is the nested report of the block's j-th row, as
+    a plain command prints it (:meth:`row`).  ``scalars()`` maps the dotted
+    name of each field that can be a scalar cell to its values over the
+    block's rows: an array, or a list holding None where a row lacks the
+    field; a field that never is a scalar may be left out.  A sweep reads
+    whole columns from it (:meth:`scalar_names`, :meth:`columns`) and builds
+    no per-row report.  Values of rows with an error are meaningless.
+    """
+
+    __slots__ = ("errors", "blocks", "_every")
+
+    def __init__(self, n: int):
+        self.errors: list = [None] * n
+        self.blocks: list = []
+        self._every = None
+
+    def put(self, rows, report, scalars) -> None:
+        self.blocks.append((rows, report, scalars))
+
+    def row(self, i: int):
+        """Row i's outcome: its error, or its nested report."""
+        if self.errors[i] is not None:
+            return self.errors[i]
+        for rows, report, _ in self.blocks:
+            if i in rows:
+                return report(rows.index(i))
+
+    def _scalars(self) -> list:
+        """(rows, scalars()) per block, each evaluated once."""
+        if self._every is None:
+            self._every = [(rows, scalars()) for rows, _, scalars in self.blocks]
+        return self._every
+
+    def scalar_names(self, i: int) -> list:
+        """The sorted names of row i's scalar fields (see :func:`_cell`)."""
+        rows, scalars = next(block for block in self._scalars() if i in block[0])
+        j = rows.index(i)
+        return sorted(name for name, values in scalars.items() if _cell(values[j]) is not None)
+
+    def columns(self, names: list) -> list:
+        """Each field of ``names`` as one cell per row (see :func:`_cell`); None where a row has no such scalar."""
+        table = [[None] * len(self.errors) for _ in names]
+        for rows, scalars in self._scalars():
+            for cells, name in zip(table, names):
+                values = scalars.get(name)
+                if isinstance(values, np.ndarray):
+                    if values.ndim != 1 or values.dtype.kind not in "biufc":
+                        continue
+                    values = [_cell(v) for v in values.tolist()] if values.dtype.kind == "c" else values.tolist()
+                elif values is None:
+                    continue
+                else:
+                    values = [_cell(v) for v in values]
+                if len(rows) == len(cells):  # one block holding every row, in order
+                    cells[:] = values
+                else:
+                    for i, value in zip(rows, values):
+                        cells[i] = value
+        return table
+
+
+def _leaves(report: dict, prefix: str, out: dict) -> dict:
+    """Every value of a nested report that is not a dict, under its dotted name."""
+    for key, value in report.items():
+        if isinstance(value, dict):
+            _leaves(value, f"{prefix}{key}.", out)
+        else:
+            out[f"{prefix}{key}"] = value
+    return out
+
+
+def _gather(outcomes: list) -> Columns:
+    """The Columns of per-row outcomes: an exception, or the results dict."""
+    res = Columns(len(outcomes))
+    rows, reports = [], []
+    for i, outcome in enumerate(outcomes):
+        if isinstance(outcome, Exception):
+            res.errors[i] = outcome
+        else:
+            rows.append(i)
+            reports.append(outcome)
+
+    def scalars() -> dict:
+        leaves = [_leaves(report, "", {}) for report in reports]
+        return {name: [leaf.get(name) for leaf in leaves] for name in dict.fromkeys(n for leaf in leaves for n in leaf)}
+
+    res.put(rows, reports.__getitem__, scalars)
+    return res
 
 
 def _each(fn):
     """A list handler that runs ``fn(task, tol, seed)`` on one point at a time."""
 
-    def handler(tasks: list, tol: float, seed) -> list:
-        return [capture(fn, task, tol, seed) for task in tasks]
+    def handler(tasks: list, tol: float, seed) -> Columns:
+        return _gather([capture(fn, task, tol, seed) for task in tasks])
 
     return handler
 
@@ -313,15 +425,22 @@ def _report_feasibility(rep) -> dict:
     }
 
 
-def _cmd_feasibility(tasks: list, tol: float, seed) -> list:
-    out: list = [None] * len(tasks)
-    for rows, batch in _machine_batches(tasks, out):
-        for j, i in enumerate(rows):
-            out[i] = batch.error(j) or _report_feasibility(batch.report(j, tol))
-    return out
+def _prefixed(prefix: str, fields: dict) -> dict:
+    return {prefix + name: values for name, values in fields.items()}
 
 
-def _cmd_optimize(tasks: list, tol: float, seed) -> list:
+def _cmd_feasibility(tasks: list, tol: float, seed) -> Columns:
+    res = Columns(len(tasks))
+    for rows, batch in _machine_batches(tasks, res.errors):
+        for j in batch.fault.nonzero()[0].tolist():
+            res.errors[rows[j]] = batch.error(j)
+        if batch.det is not None:
+            res.put(rows, lambda j, batch=batch: _report_feasibility(batch.report(j, tol)),
+                    lambda batch=batch: batch.report_scalars(tol))
+    return res
+
+
+def _cmd_optimize(tasks: list, tol: float, seed) -> Columns:
     from .analysis import optimize_many
 
     out: list = [None] * len(tasks)
@@ -346,25 +465,37 @@ def _cmd_optimize(tasks: list, tol: float, seed) -> list:
             "oracle_value": res.oracle_value,
             "method_trace": list(res.method_trace),
         }
-    return out
+    return _gather(out)
 
 
-def _cmd_decompose(tasks: list, tol: float, seed) -> list:
-    from .protocol import decompose_many
+def _plan_results(plan) -> dict:
+    return {
+        "case": plan.case_tag,
+        "root_t": plan.root_t,
+        "supp_r": plan.supp.r,
+        "ncm_r": plan.ncm.r,
+        "composed_success": list(plan.composed_success),
+        "supp_feasibility": _report_feasibility(plan.supp_report),
+        "ncm_feasibility": _report_feasibility(plan.ncm_report),
+    }
 
-    out: list = [None] * len(tasks)
-    for rows, batch in _machine_batches(tasks, out, default_kind="joint"):
-        for i, plan in zip(rows, decompose_many(batch, tol)):
-            out[i] = plan if isinstance(plan, Exception) else {
-                "case": plan.case_tag,
-                "root_t": plan.root_t,
-                "supp_r": plan.supp.r,
-                "ncm_r": plan.ncm.r,
-                "composed_success": list(plan.composed_success),
-                "supp_feasibility": _report_feasibility(plan.supp_report),
-                "ncm_feasibility": _report_feasibility(plan.ncm_report),
-            }
-    return out
+
+def _cmd_decompose(tasks: list, tol: float, seed) -> Columns:
+    from .protocol import decompose_arrays
+
+    res = Columns(len(tasks))
+    for rows, batch in _machine_batches(tasks, res.errors, default_kind="joint"):
+        two = decompose_arrays(batch, tol)
+        for i, error in zip(rows, two.errors):
+            if error is not None:
+                res.errors[i] = error
+        if two.supp is not None:
+            res.put(rows, lambda j, two=two: _plan_results(two.plan(j)), lambda two=two: {
+                "root_t": two.root_t,
+                **_prefixed("supp_feasibility.", two.supp.report_scalars(tol)),
+                **_prefixed("ncm_feasibility.", two.ncm.report_scalars(tol)),
+            })
+    return res
 
 
 @_each
@@ -476,7 +607,7 @@ def _bound_items(task: dict, advantage: list, slots: list) -> list:
     return items
 
 
-def _cmd_bounds(tasks: list, tol: float, seed) -> list:
+def _cmd_bounds(tasks: list, tol: float, seed) -> Columns:
     from .analysis import discrimination_convergence_many, ncmsi_advantage_many
 
     advantage: list = []
@@ -506,7 +637,7 @@ def _cmd_bounds(tasks: list, tol: float, seed) -> list:
                 break
             results[q] = value
         out.append(results)
-    return out
+    return _gather(out)
 
 
 @_each
@@ -542,21 +673,6 @@ def _set_path(d: dict, path: str, value, fresh: bool = False) -> None:
             cur[last] = value
     except (ValueError, IndexError, KeyError, TypeError, AttributeError) as exc:
         raise ValidationError(f"cannot set task field {path!r}: {exc}") from exc
-
-
-def _flatten_scalars(prefix: str, obj, out: dict) -> None:
-    """Scalar leaves of a results dict under dotted keys; arrays and lists are left out."""
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            _flatten_scalars(f"{prefix}.{k}" if prefix else str(k), v, out)
-        return
-    if isinstance(obj, np.generic):
-        obj = obj.item()
-    if isinstance(obj, complex):
-        if obj.imag == 0.0:  # a real complex is written as a plain number
-            out[prefix] = float(obj.real)
-    elif isinstance(obj, (bool, int, float)):
-        out[prefix] = obj
 
 
 def _point_task(inner: dict, grids: list, combo: tuple) -> dict:
@@ -598,29 +714,31 @@ def _cmd_sweep(task: dict, tol: float, seed) -> dict:
             values = [float(v) for v in values]
         grids.append((name, values))
 
+    select = task.get("select")
+    if select is not None and not (isinstance(select, list) and all(isinstance(key, str) for key in select)):
+        raise ValidationError(f"select must be a list of column names, got {select!r}")
+
     # Points run in chunks through the inner command's list handler; the
     # first failing point in product order raises, as if run one by one.
-    rows = []
-    select = task.get("select")
-    column_keys = None
+    # The table takes its scalar columns straight from the handler's Columns.
+    rows: list = []
+    column_keys = select
     combos = itertools.product(*[vals for _, vals in grids])
     while chunk := list(itertools.islice(combos, _SWEEP_CHUNK)):
         outcomes = [capture(_point_task, inner, grids, combo) for combo in chunk]
         built = [j for j, point in enumerate(outcomes) if not isinstance(point, Exception)]
-        for j, res in zip(built, handler([outcomes[j] for j in built], tol, seed)):
-            outcomes[j] = res
-        for combo, res in zip(chunk, outcomes):
-            flat: dict = {}
-            _flatten_scalars("", unwrap(res), flat)
-            try:
-                if column_keys is None:
-                    column_keys = sorted(flat) if select is None else list(select)
-                rows.append([*combo, *(flat.get(key) for key in column_keys)])
-            except TypeError:
-                raise ValidationError(f"select must be a list of column names, got {select!r}") from None
+        res = handler([outcomes[j] for j in built], tol, seed)
+        for j, error in zip(built, res.errors):
+            outcomes[j] = error
+        failed = next((outcome for outcome in outcomes if outcome is not None), None)
+        if failed is not None:
+            raise failed
+        if column_keys is None:
+            column_keys = res.scalar_names(0)
+        rows += zip(*zip(*chunk), *res.columns(column_keys))
 
-    rows.sort(key=lambda row: tuple(row[: len(grids)]))
-    return {"columns": [name for name, _ in grids] + list(column_keys or []), "rows": rows}
+    rows.sort(key=lambda row: row[: len(grids)])
+    return {"columns": [name for name, _ in grids] + column_keys, "rows": rows}
 
 
 _HANDLERS = {
@@ -744,7 +862,7 @@ def main(argv=None) -> int:
         if fmt not in ("json", "csv"):
             raise ValidationError(f"unknown output format {fmt!r}")
 
-        results = unwrap(_HANDLERS[args.command]([task], tol, seed)[0])
+        results = unwrap(_HANDLERS[args.command]([task], tol, seed).row(0))
 
         if fmt == "csv":
             if args.command != "sweep":

@@ -42,13 +42,29 @@ _CLAMP = 1e-12
 _QUIET = contextlib.nullcontext()
 
 
+def _onto_disk(z: np.ndarray) -> np.ndarray:
+    """Entries of modulus just above 1 (a copy) put on the closed unit disk, modulus <= 1 exactly.
+
+    Each is divided by its modulus, which can leave it 1 ulp outside; then
+    both components step one ulp toward 0 until it is inside by numpy's
+    modulus and by Python's (they can differ in the last bit).  So a
+    clamped value is not clamped again, by the core or by
+    :func:`_clamp_unit`: validation is a fixed point.
+    """
+    z = z / np.abs(z)
+    while (over := (np.abs(z) > 1.0) | np.array([abs(v) > 1.0 for v in z.tolist()], dtype=bool)).any():
+        z.real[over] = np.nextafter(z.real[over], 0.0)
+        z.imag[over] = np.nextafter(z.imag[over], 0.0)
+    return z
+
+
 def _clamp_unit(z: complex, name: str) -> complex:
     z = complex(z)
     mod = abs(z)
     if mod > 1.0 + _CLAMP:
         raise ValidationError(f"|{name}| = {mod:.12g} exceeds 1")
     if mod > 1.0:
-        z = z / mod
+        z = complex(_onto_disk(np.array([z]))[0])
     return z
 
 
@@ -258,6 +274,20 @@ class MachineBatch:
         _bind(spec, self, i)
         return spec
 
+    def report_scalars(self, tol: float = DEFAULT_TOL) -> dict:
+        """The scalar :class:`FeasibilityReport` fields of every row, one array each.
+
+        Faulted rows are included and their values are meaningless; a row's
+        validation error is :meth:`error`'s.  ``lhs`` is finite or NaN, so
+        ``lhs - rhs`` raises no new warning.
+        """
+        return {
+            "det": self.det,
+            "slack": self.lhs - self.rhs,
+            "feasible": self.verdict(tol),
+            "reduced_applicable": self.premise if self.p is None else np.zeros_like(self.premise),
+        }
+
     def report(self, i: int, tol: float = DEFAULT_TOL) -> FeasibilityReport:
         """Row i as the report :func:`feasible` returns."""
         diag = self.diag[i]
@@ -295,10 +325,10 @@ def _target(kind: str, alpha, beta):
 
 
 def _clamp_rows(z: np.ndarray, mods: np.ndarray) -> np.ndarray:
-    """Moduli within _CLAMP above 1 scaled back onto the unit circle; larger ones left for the fault check."""
+    """Moduli within _CLAMP above 1 put on the unit disk by :func:`_onto_disk`; larger ones left for the fault check."""
     fix = (mods > 1.0) & (mods <= 1.0 + _CLAMP)
     z = z.copy()
-    z[fix] /= mods[fix]
+    z[fix] = _onto_disk(z[fix])
     return z
 
 

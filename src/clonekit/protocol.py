@@ -16,10 +16,12 @@ with R_i the row sums and S_k = sqrt(r_k1 r_k2), a quadratic in t that is
 nonnegative at t = 0 and negative at t = 1, so the boundary t* is its exact
 root (:func:`clonekit.machine.ray_limit`).
 
-:func:`decompose_many` decomposes a whole :class:`~clonekit.machine.MachineBatch`
-of joint machines at once: the cases, roots and members are arrays, and
-the members of all rows are validated and asserted in one core call per
-member kind.  :func:`decompose_two_step` is its length-1 call.
+:func:`decompose_arrays` decomposes a whole :class:`~clonekit.machine.MachineBatch`
+of joint machines at once: the cases, roots and members are arrays (a
+:class:`TwoStepBatch`), and the members of all rows are validated and
+asserted in one core call per member kind.  :func:`decompose_many` is its
+list of :class:`TwoStepPlan` per row, and :func:`decompose_two_step` its
+length-1 call.
 """
 
 from __future__ import annotations
@@ -115,23 +117,59 @@ def decompose_two_step(joint: MachineSpec, tol: float = DEFAULT_TOL) -> TwoStepP
     return unwrap(decompose_many(joint.as_batch(), tol)[0])
 
 
-def decompose_many(joints: MachineBatch, tol: float = DEFAULT_TOL) -> list:
-    """:func:`decompose_two_step` for every row of a batch, in three core calls.
+class TwoStepBatch:
+    """The decompositions of N joint machines as arrays (:func:`decompose_arrays`).
+
+    errors
+        One entry per row: None, or the error that row's
+        :func:`decompose_two_step` raises.  The other fields are
+        meaningless on failing rows, and None when every row failed before
+        the members were built.
+    supp, ncm
+        The members of every row, one :class:`~clonekit.machine.MachineBatch` each.
+    composed_success, case_tag, root_t
+        (N, 2), (N,) and (N,): the :class:`TwoStepPlan` fields of every row.
+    tol
+        The tolerance the members' verdicts and reports use.
+
+    A plain slotted class, like MachineBatch: it is defined at every import.
+    """
+
+    __slots__ = ("errors", "supp", "ncm", "composed_success", "case_tag", "root_t", "tol")
+
+    def __init__(self, errors: list, tol: float, supp=None, ncm=None, composed_success=None, case_tag=None,
+                 root_t=None):
+        self.errors, self.tol, self.supp, self.ncm = errors, tol, supp, ncm
+        self.composed_success, self.case_tag, self.root_t = composed_success, case_tag, root_t
+
+    def plan(self, i: int) -> TwoStepPlan:
+        """Row i as a :class:`TwoStepPlan` (a row without an error)."""
+        return TwoStepPlan(
+            supp=self.supp.spec(i), ncm=self.ncm.spec(i),
+            composed_success=(float(self.composed_success[i, 0]), float(self.composed_success[i, 1])),
+            case_tag=str(self.case_tag[i]), root_t=float(self.root_t[i]),
+            supp_report=self.supp.report(i, self.tol), ncm_report=self.ncm.report(i, self.tol),
+        )
+
+
+def decompose_arrays(joints: MachineBatch, tol: float = DEFAULT_TOL) -> TwoStepBatch:
+    """:func:`decompose_two_step` for every row of a batch, in three core calls, as arrays.
 
     The joint machines' own call is ``joints``; the supplementary and the
     ncm members of all rows are validated and solved in one call each.
-    Returns one outcome per row (see :mod:`clonekit.errors`): the plan, or
-    the error that row's :func:`decompose_two_step` raises, checked in the
-    same order -- the row's validation fault, the joint feasibility, the
-    boundary construction, the members' validation and feasibility, and
-    the composed success.
+    Each row's error is the one its :func:`decompose_two_step` raises,
+    checked in the same order -- the row's validation fault, the joint
+    feasibility, the boundary construction, the members' validation and
+    feasibility, and the composed success.  No per-row object is built.
     """
     n = len(joints)
-    out: list = [joints.error(i) for i in range(n)]
+    errors: list = [None] * n
+    for i in joints.fault.nonzero()[0].tolist():
+        errors[i] = joints.error(i)
     if joints.det is None:  # a fault of the whole call: every row carries it
-        return out
+        return TwoStepBatch(errors, tol)
     if joints.kind != "joint":
-        return [e or ValidationError("decompose_two_step expects a joint machine") for e in out]
+        return TwoStepBatch([e or ValidationError("decompose_two_step expects a joint machine") for e in errors], tol)
     r = joints.r
     ok = joints.verdict(tol)
     with np.errstate(all="ignore"):  # faulted rows may overflow or hold NaN; degenerate rows divide by 0
@@ -150,28 +188,32 @@ def decompose_many(joints: MachineBatch, tol: float = DEFAULT_TOL) -> list:
     members_ok = supp.verdict(tol) & ncm.verdict(tol)
     composed = supp.sums + (1.0 - supp.sums) * ncm.sums
     short = (composed < joints.sums - tol).any(axis=1)
-    tags = np.where(case1, "case1", np.where(case2_ii, "case2_II", "case2_I"))
-    for i in range(n):
-        if out[i] is not None:
+    bad = ~(ok & members_ok) | degenerate | short | ((supp.fault | ncm.fault) != 0)
+    for i in bad.nonzero()[0].tolist():  # a faulted joint row already holds its error
+        if errors[i] is not None:
             continue
         if not ok[i]:
-            out[i] = InfeasibleError("joint machine is infeasible; nothing to decompose")
+            errors[i] = InfeasibleError("joint machine is infeasible; nothing to decompose")
         elif degenerate[i]:
-            out[i] = NumericalError("degenerate failure weight in the boundary construction")
+            errors[i] = NumericalError("degenerate failure weight in the boundary construction")
         elif supp.fault[i] or ncm.fault[i]:
-            out[i] = supp.error(i) or ncm.error(i)
+            errors[i] = supp.error(i) or ncm.error(i)
         elif not members_ok[i]:
-            out[i] = NumericalError("decomposition produced an infeasible member")
-        elif short[i]:
-            out[i] = NumericalError("two-step success fell below the joint machine's")
+            errors[i] = NumericalError("decomposition produced an infeasible member")
         else:
-            out[i] = TwoStepPlan(
-                supp=supp.spec(i), ncm=ncm.spec(i),
-                composed_success=(float(composed[i, 0]), float(composed[i, 1])),
-                case_tag=str(tags[i]), root_t=float(root[i]),
-                supp_report=supp.report(i, tol), ncm_report=ncm.report(i, tol),
-            )
-    return out
+            errors[i] = NumericalError("two-step success fell below the joint machine's")
+    tags = np.where(case1, "case1", np.where(case2_ii, "case2_II", "case2_I"))
+    return TwoStepBatch(errors, tol, supp, ncm, composed, tags, root)
+
+
+def decompose_many(joints: MachineBatch, tol: float = DEFAULT_TOL) -> list:
+    """:func:`decompose_two_step` for every row of a batch: the length-N view of :func:`decompose_arrays`.
+
+    Returns one outcome per row (see :mod:`clonekit.errors`): the plan, or
+    the error that row's :func:`decompose_two_step` raises.
+    """
+    two = decompose_arrays(joints, tol)
+    return [error or two.plan(i) for i, error in enumerate(two.errors)]
 
 
 def compose(supp: MachineSpec, ncm: MachineSpec, tol: float = DEFAULT_TOL) -> MachineSpec:

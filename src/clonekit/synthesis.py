@@ -91,6 +91,18 @@ class OutcomeDistribution:
     failure: np.ndarray
 
 
+def _check_overlap(pair: tuple[PureState, PureState], name: str, want: complex, field: str, tol: float) -> None:
+    """Raise, naming the task's fields and both values, when a state pair's overlap is more than tol from ``want``."""
+    seen = overlap(pair[0], pair[1])
+    if abs(seen - want) > tol:
+        raise ValidationError(f"{name} overlap {_number_text(seen)} disagrees with {field} = {_number_text(want)}")
+
+
+def _number_text(z) -> str:
+    z = complex(z) + 0.0  # + 0.0 turns a -0.0 real part into 0
+    return f"{z.real:.12g}" if z.imag == 0.0 else f"{z.real:.12g}{z.imag:+.12g}j"
+
+
 def realize(
     spec: MachineSpec,
     psi: tuple[PureState, PureState],
@@ -113,13 +125,11 @@ def realize(
             f"copy depth {spec.m} needs {layout.total_dim * _COMPLEX_BYTES} bytes per state vector,"
             f" over the {VECTOR_BYTES_BUDGET} byte budget"
         )
-    if abs(overlap(psi[0], psi[1]) - spec.alpha) > tol:
-        raise ValidationError("psi overlap disagrees with spec.alpha")
+    _check_overlap(psi, "states.psi", spec.alpha, "alpha", tol)
     if spec.kind != "ncm":
         if phi is None:
             raise ValidationError(f"kind {spec.kind!r} requires supplementary states phi")
-        if abs(overlap(phi[0], phi[1]) - spec.beta) > tol:
-            raise ValidationError("phi overlap disagrees with spec.beta")
+        _check_overlap(phi, "states.phi", spec.beta, "beta", tol)
 
     spec_p = spec.with_p(spec.p if spec.p is not None else optimal_probe_overlaps(spec))
     p = spec_p.p  # the validated probes, which rz.spec stores

@@ -1,9 +1,13 @@
+import collections
 import json
 
 import numpy as np
 import pytest
 
-from clonekit.cli import main
+import clonekit.machine
+import clonekit.protocol
+from clonekit.cli import Columns, main
+from helpers import check_sweep_against_points
 
 
 def write_task(tmp_path, name, payload):
@@ -342,6 +346,95 @@ GOOD_PSI = [[1.0, 0.0], [0.5, np.sqrt(0.75)]]
 GOOD_PHI = [[1.0, 0.0], [0.9, np.sqrt(1 - 0.81)]]
 
 
+def _count_point_objects(monkeypatch) -> collections.Counter:
+    """Count every MachineSpec (built or viewed from a batch row), FeasibilityReport and TwoStepPlan made."""
+    built: collections.Counter = collections.Counter()
+    real_bind = clonekit.machine._bind
+
+    def bind(spec, batch, i):
+        built["MachineSpec"] += 1
+        real_bind(spec, batch, i)
+
+    monkeypatch.setattr(clonekit.machine, "_bind", bind)
+    for cls in (clonekit.machine.FeasibilityReport, clonekit.protocol.TwoStepPlan):
+        def init(self, *args, _real=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+    return built
+
+
+class TestColumnarSweeps:
+    """Sweep cells come from the handlers' arrays: no point builds a spec, report or plan."""
+
+    @pytest.mark.parametrize("command", ["feasibility", "decompose"])
+    def test_200_points_build_no_per_point_objects(self, tmp_path, capsys, monkeypatch, command):
+        built = _count_point_objects(monkeypatch)
+        spec = clonekit.machine.MachineSpec("joint", 0.5, 0.9, 1, [[0.5], [0.5]])
+        clonekit.protocol.decompose_two_step(spec)
+        assert built == {"MachineSpec": 3, "FeasibilityReport": 2, "TwoStepPlan": 1}  # the counter counts
+        built.clear()
+        task = {"command": "sweep", "run": {**FEAS_TASK, "command": command, "beta": 0.9, "r": [[0.5], [0.5]]},
+                "sweep": [{"name": "alpha", "start": 0.3, "stop": 0.5, "steps": 10},
+                          {"name": "beta", "start": 0.8, "stop": 0.95, "steps": 20}]}
+        code, out, err = run(capsys, ["sweep", "--task", write_task(tmp_path, "t.json", task)])
+        assert code == 0, err
+        assert len(json.loads(out)["results"]["rows"]) == 200
+        assert not built, built
+
+    def test_column_rule(self):
+        # scalar leaves of row 0, sorted; a real complex is a float; a later non-real complex reads null
+        res = Columns(3)
+        res.put([0, 2], ["report 0", "report 2"].__getitem__, lambda: {
+            "z": np.array([1.5 + 0j, 2 + 1j]), "ok": np.array([True, False]), "case": np.array(["a", "b"]),
+            "v": np.zeros((2, 2)), "x.y": [3, 4.5], "none": [None, 1.0]})
+        res.put([1], ["report 1"].__getitem__, lambda: {"z": [0.25 + 0j], "ok": [True], "x.y": [[1]], "extra": [1.0]})
+        assert res.scalar_names(0) == ["ok", "x.y", "z"]
+        assert res.scalar_names(1) == ["extra", "ok", "z"]
+        names = ("z", "ok", "x.y", "case", "v", "none", "extra", "missing")
+        assert res.columns(names) == [
+            [1.5, 0.25, None], [True, True, False], [3, None, 4.5], [None] * 3, [None] * 3, [None, None, 1.0],
+            [None, 1.0, None], [None] * 3]
+        assert type(res.columns(["z"])[0][0]) is float
+        assert [res.row(i) for i in range(3)] == ["report 0", "report 1", "report 2"]
+
+    SIMULATE = {**SYNTH_TASK, "command": "simulate", "shots": 200, "seed": 5}
+
+    def test_simulate_sweep_keeps_the_nested_counts(self, tmp_path, capsys):
+        # counts is a nested dict: its leaves are columns under dotted names, by default and through select
+        task = {"command": "sweep", "run": self.SIMULATE, "seed": 5, "sweep": [
+            {"name": "beta", "start": 0.8, "stop": 0.95, "steps": 3}]}
+        code, out, err = run(capsys, ["sweep", "--task", write_task(tmp_path, "t.json", task)])
+        assert code == 0, err
+        results = json.loads(out)["results"]
+        assert results["columns"] == ["beta", "counts.failure", "counts.slot_1", "dimension", "global_success",
+                                      "input_index", "shots", "unitarity_defect"]
+        assert all(row[1] + row[2] == 200 for row in results["rows"])
+        task["select"] = ["counts.failure", "counts.slot_1"]
+        code, out, err = run(capsys, ["sweep", "--task", write_task(tmp_path, "t.json", task), "--format", "csv"])
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[0] == "beta,counts.failure,counts.slot_1"
+        assert [sum(int(v) for v in line.split(",")[1:]) for line in lines[1:]] == [200] * 3
+
+    @pytest.mark.parametrize("run_task", [
+        SIMULATE,
+        SYNTH_TASK,
+        {"command": "compose", "supp": {"alpha": 0.5, "beta": 0.9, "m": 1, "r": [[0.05], [0.05]]},
+         "ncm": {"alpha": 0.5, "m": 1, "r": [[0.1], [0.1]]}},
+        {"command": "bounds", "alpha": 0.5, "beta": 0.9, "quantities": ["advantage", "duan_guo"]},
+    ], ids=["simulate", "synthesize", "compose", "bounds-advantage"])
+    def test_point_handlers_match_single_commands(self, tmp_path, run_task):
+        task = {"command": "sweep", "run": run_task, "seed": 5, "sweep": [
+            {"name": "alpha", "start": 0.3, "stop": 0.6, "steps": 3}]}
+        if run_task["command"] == "compose":
+            task["sweep"] = [{"name": "supp.beta", "start": 0.7, "stop": 0.95, "steps": 3}]
+        code, out, err = check_sweep_against_points(tmp_path, task)
+        assert code == 0, err
+        assert len(json.loads(out)["results"]["columns"]) > 2
+
+
 class TestMalformedStates:
     @pytest.mark.parametrize("states", [5, "psi", [GOOD_PSI, GOOD_PHI]])
     def test_states_not_an_object(self, tmp_path, capsys, states):
@@ -358,8 +451,8 @@ class TestMalformedStates:
         assert "states.psi must be a list of two states" in err
 
     @pytest.mark.parametrize("states,message", [
-        ({"psi": [[1.0, 0.0], [0.6, 0.8]], "phi": GOOD_PHI}, "psi overlap disagrees with spec.alpha"),
-        ({"psi": GOOD_PSI, "phi": [[1.0, 0.0], [0.8, 0.6]]}, "phi overlap disagrees with spec.beta"),
+        ({"psi": [[1.0, 0.0], [0.6, 0.8]], "phi": GOOD_PHI}, "states.psi overlap 0.6 disagrees with alpha = 0.5"),
+        ({"psi": GOOD_PSI, "phi": [[1.0, 0.0], [0.8, 0.6]]}, "states.phi overlap 0.8 disagrees with beta = 0.9"),
         ({"psi": [[1.0, 0.0], [0.6, 0.8]], "phi": 5}, "states.phi must be a list of two states"),
     ], ids=["psi", "phi", "malformed-phi-first"])
     def test_overlap_mismatch(self, tmp_path, capsys, states, message):

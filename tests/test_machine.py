@@ -6,6 +6,7 @@ import pytest
 from clonekit.errors import ValidationError
 from clonekit.machine import (
     MachineSpec,
+    _clamp_unit,
     dominance_premise,
     feasibility_core,
     feasible,
@@ -165,6 +166,45 @@ class TestFeasibilityCore:
         for args, want in cases:
             batch = feasibility_core(*args)
             assert [str(batch.error(i)) for i in range(2)] == want
+
+
+def _near_unit(rng, n: int) -> np.ndarray:
+    """Random overlaps with modulus in (1, 1 + 1e-12]: rounding noise the validation clamps."""
+    return (1.0 + rng.uniform(1e-16, 1e-12, n)) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+
+
+class TestClampIsAFixedPoint:
+    """A clamped overlap lies on the closed unit disk exactly, so validating it again moves no bit."""
+
+    def test_scalar(self):
+        clamped = []
+        for z in _near_unit(np.random.default_rng(241), 20_000):
+            once = _clamp_unit(z, "alpha")
+            assert abs(once) <= 1.0
+            assert _bits(np.complex128(_clamp_unit(once, "alpha"))) == _bits(np.complex128(once)), z
+            clamped.append(once)
+        # and the core, which measures moduli with numpy, keeps them too
+        core = feasibility_core("ncm", clamped, None, 1, np.zeros((len(clamped), 2, 1)))
+        assert _bits(core.alpha) == _bits(np.array(clamped))
+
+    def test_batch_rows(self):
+        rng = np.random.default_rng(251)
+        n, m = 20_000, 2
+        alpha, beta, p = _near_unit(rng, n), _near_unit(rng, n), _near_unit(rng, n * m).reshape(n, m)
+        once = feasibility_core("joint", alpha, beta, m, np.full((n, 2, m), 0.01), p)
+        assert not once.fault.any()
+        again = feasibility_core("joint", once.alpha, once.beta, m, once.r, once.p)
+        for name in ("alpha", "beta", "p"):
+            assert np.abs(getattr(once, name)).max() <= 1.0
+            assert _bits(getattr(again, name)) == _bits(getattr(once, name)), name
+
+    def test_spec_validated_again(self):
+        rng = np.random.default_rng(263)
+        for alpha, beta, p in _near_unit(rng, 3000).reshape(1000, 3):
+            spec = MachineSpec("joint", alpha, beta, 1, [[0.01], [0.01]], [p])
+            again = spec.with_p(spec.p)
+            assert (_bits(np.complex128(again.alpha)), _bits(np.complex128(again.beta)), _bits(again.p)) == (
+                _bits(np.complex128(spec.alpha)), _bits(np.complex128(spec.beta)), _bits(spec.p))
 
 
 class TestResidualGram:

@@ -204,3 +204,23 @@ class TestMalformedSweepFields:
         path.write_text(clonekit.cli.json.dumps(task))
         code, _, err = run_cli(["sweep", "--task", str(path)])
         assert code == 2 and err.startswith("clonekit: validation error:")
+
+    @pytest.mark.parametrize("select,fmt", [
+        ("root_t", "json"),  # a string, not a list holding one name
+        ([1, 2], "csv"),  # numbers cannot head CSV columns
+        ([1, 2], "json"),
+        ({"root_t": 1}, "csv"),
+    ], ids=["string", "numbers-csv", "numbers-json", "object-csv"])
+    def test_select_is_a_list_of_names(self, tmp_path, select, fmt):
+        path = tmp_path / "t.json"
+        path.write_text(clonekit.cli.json.dumps(sweep(JOINT, axis("beta", 0.8, 0.9, 2), select=select)))
+        code, out, err = run_cli(["sweep", "--task", str(path), "--format", fmt])
+        assert (code, out) == (2, "")
+        assert err == f"clonekit: validation error: select must be a list of column names, got {select!r}\n"
+
+    def test_bad_select_wins_over_a_failing_point(self, tmp_path):
+        # select is checked once, before any point runs; the first point here is malformed
+        path = tmp_path / "t.json"
+        path.write_text(clonekit.cli.json.dumps(sweep(JOINT, axis("beta", 1.1, 0.9, 3), select="root_t")))
+        code, _, err = run_cli(["sweep", "--task", str(path)])
+        assert (code, err) == (2, "clonekit: validation error: select must be a list of column names, got 'root_t'\n")
