@@ -28,7 +28,8 @@ _EXPORTS = {
         "optimal_probe_overlaps", "ray_limit", "ray_terms", "reduced_inequality", "residual_gram",
     ),
     "protocol": (
-        "TwoStepBatch", "TwoStepPlan", "compose", "decompose_arrays", "decompose_many", "decompose_two_step",
+        "TwoStepBatch", "TwoStepPlan", "compose", "compose_arrays", "compose_many", "decompose_arrays",
+        "decompose_many", "decompose_two_step",
         "f_value", "strategy_success",
     ),
     "qlinalg": (
@@ -66,6 +67,8 @@ __all__ = [
     "canonical_pair",
     "cholesky_psd2",
     "compose",
+    "compose_arrays",
+    "compose_many",
     "decompose_arrays",
     "decompose_many",
     "decompose_two_step",

@@ -18,10 +18,13 @@ columnar result (:class:`Columns`): a per-row error list and, for each
 report field, a dotted name with N values.  A plain command is a list of
 one and renders row 0 into its nested report.  A sweep hands its handler
 all its points (in chunks of ``_SWEEP_CHUNK``) and reads whole scalar
-columns; feasibility and decompose take them straight from the core's
-arrays, with no per-point spec, report or dict.  Feasibility, decompose,
-optimize (symmetric or not) and bounds solve the list with one
-feasibility-core call per (kind, m) group.
+columns; feasibility, decompose and compose take them straight from the
+core's arrays, with no per-point spec, report or dict.  Feasibility,
+decompose, compose, optimize (symmetric or not) and bounds solve the list
+with one feasibility-core call per group of machines that stack: a group
+of compose tasks makes three (the supplementary members, the ncm members,
+the joint machines).  Only synthesize, simulate and uqcm run one point at
+a time.
 A sweep row therefore equals the row made from that point's own report.
 Its columns are the sorted scalar leaves of the first point's report
 (bool, int, float, and complex with imaginary part 0, written as a float),
@@ -45,7 +48,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InfeasibleError, NumericalError, ValidationError, capture, unwrap
-from .machine import MachineSpec, feasibility_core, feasible
+from .machine import MachineSpec, feasibility_core
 from .qlinalg import DEFAULT_TOL
 from .states import PureState, canonical_pair
 
@@ -86,28 +89,52 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _fmt_complex(z: complex) -> str:
+    """A complex number; a real one is written as a plain number."""
+    return _fmt_float(z.real) if z.imag == 0.0 else f"[{_fmt_float(z.real)},{_fmt_float(z.imag)}]"
+
+
+def _fmt_list(seq) -> str:
+    return "[" + ",".join([_canonical(v) for v in seq]) + "]"
+
+
+# What json.dumps(str) returns with its default arguments.
+_fmt_str = json.encoder.encode_basestring_ascii
+
+
+def _fmt_dict(obj: dict) -> str:
+    items = sorted(obj.items(), key=lambda kv: kv[0])
+    return "{" + ",".join([f"{_fmt_str(str(k))}:{_canonical(v)}" for k, v in items]) + "}"
+
+
+def _fmt_bool(b) -> str:
+    return "true" if b else "false"
+
+
 def _canonical(obj) -> str:
+    writer = _WRITERS.get(type(obj))
+    if writer is not None:
+        return writer(obj)
     if isinstance(obj, np.generic):
         obj = obj.item()
     if obj is None:
         return "null"
     if isinstance(obj, bool):
-        return "true" if obj else "false"
+        return _fmt_bool(obj)
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
         return _fmt_float(obj)
-    if isinstance(obj, complex):  # a real complex is written as a plain number
-        return _fmt_float(obj.real) if obj.imag == 0.0 else f"[{_fmt_float(obj.real)},{_fmt_float(obj.imag)}]"
+    if isinstance(obj, complex):
+        return _fmt_complex(obj)
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _fmt_str(obj)
     if isinstance(obj, np.ndarray):
         return _canonical_array(obj)
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_canonical(v) for v in obj) + "]"
+        return _fmt_list(obj)
     if isinstance(obj, dict):
-        items = sorted(obj.items(), key=lambda kv: kv[0])
-        return "{" + ",".join(f"{json.dumps(str(k))}:{_canonical(v)}" for k, v in items) + "}"
+        return _fmt_dict(obj)
     raise ValidationError(f"cannot serialize object of type {type(obj).__name__}")
 
 
@@ -128,6 +155,24 @@ def _array_rows(arr: np.ndarray) -> str:
         return "[" + ",".join([f"{x:.17g}" for x in arr.tolist()]) + "]"
     return "[" + ",".join([f"{x:.17g}" if y == 0.0 else f"[{x:.17g},{y:.17g}]"
                            for x, y in zip(arr.real.tolist(), arr.imag.tolist())]) + "]"
+
+
+# The writer of each exact type a report holds; any other type, such as a
+# subclass or another numpy scalar, goes through _canonical's isinstance chain.
+_WRITERS = {
+    float: _fmt_float,
+    int: str,
+    bool: _fmt_bool,
+    str: _fmt_str,
+    type(None): lambda _: "null",
+    complex: _fmt_complex,
+    list: _fmt_list,
+    tuple: _fmt_list,
+    dict: _fmt_dict,
+    np.ndarray: _canonical_array,
+    np.float64: lambda x: _fmt_float(float(x)),
+    np.bool_: _fmt_bool,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +290,9 @@ def _problem_from_task(d: dict) -> OptimizationProblem:
 # task's error (the exception it raises on its own, see clonekit.errors), and
 # the results of the others as columns.  A plain command is a list of one
 # and renders its row; a sweep passes all its points at once and reads whole
-# scalar columns.  feasibility, decompose, optimize and bounds solve the
-# whole list with one feasibility-core call per (kind, m) group.
+# scalar columns.  feasibility, decompose, compose, optimize and bounds solve
+# the whole list with one feasibility-core call per group of machines that
+# stack.
 
 def _cell(value):
     """A value as a sweep cell: bool, int or float, a real complex as a float, else None."""
@@ -363,6 +409,8 @@ def _each(fn):
 
 def _machine_fields(d: dict, default_kind: str | None = None) -> tuple:
     """(kind, alpha, beta, m, r, p) of a machine task, parsed but not yet validated."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"a machine must be an object of fields, got {d!r}")
     kind = d.get("kind", default_kind)
     if kind is None:
         raise ValidationError("task is missing required field 'kind'")
@@ -389,11 +437,26 @@ def _spec_from_task(d: dict, default_kind: str | None = None) -> MachineSpec:
     return MachineSpec(kind, alpha, beta, m, r, p)
 
 
+def _stack_key(fields: tuple) -> tuple:
+    """Parsed machines with equal keys stack into one core call: (kind, m, the shapes of r and p, beta given)."""
+    kind, _, beta, m, r, p = fields
+    return repr(kind), m, r.shape, beta is None, None if p is None else len(p)
+
+
+def _stacked(fields: list):
+    """One feasibility-core call on parsed machines of one :func:`_stack_key`."""
+    kind, _, beta, m, _, p = fields[0]
+    column = list(zip(*fields))
+    return feasibility_core(
+        kind, column[1], None if beta is None else column[2], m, np.stack(column[4]),
+        None if p is None else np.array(column[5], dtype=np.complex128).reshape(len(fields), -1),
+    )
+
+
 def _machine_batches(tasks: list, out: list, default_kind: str | None = None):
     """(rows, batch) per group of machine tasks that stack: one feasibility-core call each.
 
-    Tasks group by (kind, m, the shapes of r and p, whether beta is given);
-    a task whose fields do not parse gets its error in ``out`` instead.
+    A task whose fields do not parse gets its error in ``out`` instead.
     """
     groups: dict = {}
     for i, task in enumerate(tasks):
@@ -402,16 +465,9 @@ def _machine_batches(tasks: list, out: list, default_kind: str | None = None):
         except Exception as exc:
             out[i] = exc
             continue
-        kind, _, beta, m, r, p = fields
-        key = (repr(kind), m, r.shape, beta is None, None if p is None else len(p))
-        groups.setdefault(key, []).append((i, fields))
+        groups.setdefault(_stack_key(fields), []).append((i, fields))
     for members in groups.values():
-        kind, _, beta, m, _, p = members[0][1]
-        column = list(zip(*(fields for _, fields in members)))
-        yield [i for i, _ in members], feasibility_core(
-            kind, column[1], None if beta is None else column[2], m, np.stack(column[4]),
-            None if p is None else np.array(column[5], dtype=np.complex128).reshape(len(members), -1),
-        )
+        yield [i for i, _ in members], _stacked([fields for _, fields in members])
 
 
 def _report_feasibility(rep) -> dict:
@@ -498,19 +554,45 @@ def _cmd_decompose(tasks: list, tol: float, seed) -> Columns:
     return res
 
 
-@_each
-def _cmd_compose(task: dict, tol: float, seed) -> dict:
-    from .protocol import compose
-
-    supp = _spec_from_task(_require(task, "supp"), default_kind="supplementary")
-    ncm = _spec_from_task(_require(task, "ncm"), default_kind="ncm")
-    joint = compose(supp, ncm, tol)
+def _compose_results(joint, j: int, tol: float) -> dict:
+    r = joint.r[j]
     return {
-        "r": joint.r,
-        "sum_r": joint.sum_r,
-        "p": joint.p,
-        "feasibility": _report_feasibility(feasible(joint, tol)),
+        "r": r,
+        "sum_r": r.sum(axis=1),
+        "p": joint.p[j],
+        "feasibility": _report_feasibility(joint.report(j, tol)),
     }
+
+
+def _cmd_compose(tasks: list, tol: float, seed) -> Columns:
+    """Compose tasks grouped by the stack keys of both members: three core calls per group."""
+    from .protocol import compose_arrays
+
+    res = Columns(len(tasks))
+    groups: dict = {}
+    for i, task in enumerate(tasks):
+        try:
+            supp = _machine_fields(_require(task, "supp"), "supplementary")
+        except Exception as exc:
+            res.errors[i] = exc
+            continue
+        try:
+            ncm = _machine_fields(_require(task, "ncm"), "ncm")
+        except Exception as exc:  # the supp member's own validation fault comes first
+            fault = capture(MachineSpec, *supp)
+            res.errors[i] = fault if isinstance(fault, Exception) else exc
+            continue
+        groups.setdefault((_stack_key(supp), _stack_key(ncm)), []).append((i, supp, ncm))
+    for members in groups.values():
+        rows, supps, ncms = (list(column) for column in zip(*members))
+        errors, joint = compose_arrays(_stacked(supps), _stacked(ncms), tol)
+        for i, error in zip(rows, errors):
+            if error is not None:
+                res.errors[i] = error
+        if joint is not None:
+            res.put(rows, lambda j, joint=joint: _compose_results(joint, j, tol),
+                    lambda joint=joint: _prefixed("feasibility.", joint.report_scalars(tol)))
+    return res
 
 
 def _synthesize(task: dict, tol: float):
@@ -776,6 +858,8 @@ def _load_task(path: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read task file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"task file is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"task file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):

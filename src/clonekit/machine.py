@@ -17,6 +17,9 @@ core, or one row of a larger call; :func:`feasible`,
 :func:`dominance_premise` and :func:`reduced_inequality` read its row, so
 building a spec is the only work they need.  Rows are independent: row i
 of a stack is bit-identical to the same machine's length-1 call.
+Explicit probes set on a validated batch (:meth:`MachineBatch.with_p`, of
+which :meth:`MachineSpec.with_p` is a row) validate only the probes and
+recompute only what depends on them, with no second core call.
 
 Conventions: ``r`` is a 2 x m matrix of per-slot success probabilities
 (row i = input i); slots are 1-based in the mathematics and map to columns
@@ -58,11 +61,16 @@ def _onto_disk(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _modulus_fault(name: str, mod: float) -> str:
+    """The message for an overlap whose modulus ``mod`` is above 1 beyond the clamp, or NaN or infinite."""
+    return f"{name} is non-finite" if not mod < np.inf else f"|{name}| = {mod:.12g} exceeds 1"
+
+
 def _clamp_unit(z: complex, name: str) -> complex:
     z = complex(z)
     mod = abs(z)
-    if mod > 1.0 + _CLAMP:
-        raise ValidationError(f"|{name}| = {mod:.12g} exceeds 1")
+    if not mod <= 1.0 + _CLAMP:  # NaN lands here too
+        raise ValidationError(_modulus_fault(name, mod))
     if mod > 1.0:
         z = complex(_onto_disk(np.array([z]))[0])
     return z
@@ -118,11 +126,23 @@ class MachineSpec:
         return self.r.sum(axis=1)
 
     def with_p(self, p) -> "MachineSpec":
-        return dataclasses.replace(self, p=p)
+        """This machine with probe overlaps ``p`` (None: the optimal ones).
+
+        An explicit ``p`` is the only field validated again, on the
+        machine's own arrays (:meth:`MachineBatch.with_p`), with no core
+        call; the result equals ``dataclasses.replace(self, p=p)`` bit for bit.
+        """
+        if p is None:
+            return dataclasses.replace(self, p=None)
+        batch = self.as_batch().with_p(np.asarray(p, dtype=np.complex128)[None])
+        error = batch.error(0)
+        if error is not None:
+            raise error
+        return batch.spec(0)
 
     def as_batch(self) -> "MachineBatch":
-        """This machine as a length-1 :class:`MachineBatch`; a row of a larger batch is validated again alone."""
-        return self._batch if len(self._batch) == 1 else dataclasses.replace(self)._batch
+        """This machine as a length-1 :class:`MachineBatch`: its own, or its row of a larger one."""
+        return self._batch if len(self._batch) == 1 else self._batch.row(self._row)
 
 
 def _bind(spec: MachineSpec, batch: "MachineBatch", i: int) -> None:
@@ -243,11 +263,11 @@ class MachineBatch:
         elif code == _DEPTH:
             msg = "copy depth m must be >= 1"
         elif code == _ALPHA:
-            msg = f"|alpha| = {float(abs(self.alpha[i])):.12g} exceeds 1"
+            msg = _modulus_fault("alpha", float(abs(self.alpha[i])))
         elif code == _NO_BETA:
             msg = f"kind {self.kind!r} requires beta"
         elif code == _BETA:
-            msg = f"|beta| = {float(abs(self.beta[i])):.12g} exceeds 1"
+            msg = _modulus_fault("beta", float(abs(self.beta[i])))
         elif code == _SHAPE:
             msg = f"r must have shape (2, {self.m}), got {self.r.shape[1:]}"
         elif code == _NONFINITE:
@@ -260,13 +280,53 @@ class MachineBatch:
             msg = "a joint machine with nonzero alpha*beta cannot have total success 1"
         elif code == _P_SHAPE:
             msg = f"p must have shape ({self.m},), got {self.p.shape[1:]}"
-        else:
+        elif np.isfinite(self.p[i]).all():
             msg = "probe overlaps must lie on the closed unit disk"
+        else:
+            msg = "p has non-finite entries"
         return ValidationError(msg)
 
     def verdict(self, tol: float = DEFAULT_TOL) -> np.ndarray:
         """Per-row PSD verdict: both diagonal entries and the determinant >= -tol."""
         return (self.diag[:, 0] >= -tol) & (self.diag[:, 1] >= -tol) & (self.det >= -tol)
+
+    def row(self, i: int) -> "MachineBatch":
+        """Row i as a length-1 batch: every array sliced, nothing validated or computed again."""
+        def cut(x):
+            return None if x is None else x[i:i + 1]
+
+        batch = MachineBatch(self.kind, self.m, cut(self.alpha), cut(self.beta), cut(self.r), cut(self.p),
+                             cut(self.fault), cut(self.sums), cut(self.amps), cut(self.diag), cut(self.det),
+                             cut(self._off), cut(self.lhs), cut(self.rhs), cut(self.premise))
+        batch._p_opt = cut(self._p_opt)
+        return batch
+
+    def with_p(self, p) -> "MachineBatch":
+        """These machines with explicit probe overlaps ``p`` of shape (N, m): only ``p`` is validated.
+
+        Equal, array for array, to a core call on the batch's fields with
+        ``p``: its shape, the disk and the clamp are checked as the core
+        checks them, after each row's own faults; ``off`` and ``det``, which
+        depend on p, are computed again by the core's own helper, and every
+        other array is shared.  A batch that a fault of the whole call
+        stopped early goes through the core again.
+        """
+        if self.det is None:
+            return feasibility_core(self.kind, self.alpha, self.beta, self.m, self.r, p)
+        fault = self.fault.copy()
+        if self.p is not None:  # the old probes' faults go with them
+            fault[fault >= _P_SHAPE] = _OK
+        p, shaped = _checked_probes(p, fault, self.m)
+        if not shaped:
+            _flag(fault, True, _P_SHAPE)
+            return MachineBatch(self.kind, self.m, self.alpha, self.beta, self.r, p, fault)
+        with _silent_faults(fault):
+            off, det = _probe_residual(_target(self.kind, self.alpha, self.beta),
+                                       _slot_couplings(self.kind, self.alpha, self.amps), self.diag, p)
+        batch = MachineBatch(self.kind, self.m, self.alpha, self.beta, self.r, p, fault, self.sums, self.amps,
+                             self.diag, det, off, self.lhs, self.rhs, self.premise)
+        batch._p_opt = self._p_opt
+        return batch
 
     def spec(self, i: int) -> MachineSpec:
         """Row i as a MachineSpec, without validating it again."""
@@ -324,6 +384,41 @@ def _target(kind: str, alpha, beta):
     return alpha if kind == "ncm" else beta
 
 
+def _flag(fault: np.ndarray, mask, code: int) -> None:
+    """Record ``code`` on the rows of ``mask`` that have no fault yet."""
+    fault[(fault == _OK) & mask] = code
+
+
+def _beyond_one(mods: np.ndarray) -> bool:
+    """Whether some modulus is above 1 or NaN: one NaN-propagating reduction, as the core's r check."""
+    return not np.maximum.reduce(mods, axis=None, initial=0.0) <= 1.0
+
+
+def _checked_probes(p, fault: np.ndarray, m: int) -> tuple:
+    """Explicit probes validated as the core validates them, after every other check of a row.
+
+    Returns (p, True): p as a read-only (N, m) complex array, its rows off
+    the closed unit disk or non-finite faulted in ``fault``, and moduli
+    within the clamp of 1 put on the disk.  A p of another shape returns
+    (p, False) and faults nothing: that is a fault of the whole call.
+    """
+    p = np.asarray(p, dtype=np.complex128)
+    if p.shape != (len(fault), m):
+        return p, False
+    mods = np.abs(p)
+    if _beyond_one(mods):
+        _flag(fault, ~(mods <= 1.0 + _CLAMP).all(axis=1), _P_DISK)
+        p = _clamp_rows(p, mods)
+    p.setflags(write=False)
+    return p, True
+
+
+def _probe_residual(t: np.ndarray, c: np.ndarray, diag: np.ndarray, p: np.ndarray) -> tuple:
+    """(off, det) of the residuals with explicit probes: off = T - sum_k c_k p_k, det = d1 d2 - |off|^2."""
+    off = t - (c * p).sum(axis=-1)
+    return off, diag[:, 0] * diag[:, 1] - np.abs(off) ** 2
+
+
 def _clamp_rows(z: np.ndarray, mods: np.ndarray) -> np.ndarray:
     """Moduli within _CLAMP above 1 put on the unit disk by :func:`_onto_disk`; larger ones left for the fault check."""
     fix = (mods > 1.0) & (mods <= 1.0 + _CLAMP)
@@ -375,17 +470,11 @@ def feasibility_core(kind: str, alpha, beta, m: int, r, p=None) -> MachineBatch:
     n = r.shape[0]
     fault = np.zeros(n, dtype=np.int8)
 
-    def flag(mask, code):
-        fault[(fault == _OK) & mask] = code
-
-    def top(x):  # largest entry, NaN ignored; a NaN row is faulted by a check of its own
-        return np.fmax.reduce(x, axis=None, initial=-np.inf)
-
     def per_row(x):  # one overlap given for every row is broadcast, not copied
         return np.broadcast_to(x, (n,)) if isinstance(x, np.ndarray) and x.shape != (n,) else x
 
     def stopped(code, beta=None, p=None):
-        flag(True, code)
+        _flag(fault, True, code)
         return MachineBatch(kind, m, per_row(alpha), per_row(beta), r, p, fault)
 
     if kind not in KINDS:
@@ -394,8 +483,8 @@ def feasibility_core(kind: str, alpha, beta, m: int, r, p=None) -> MachineBatch:
         return stopped(_DEPTH)
     alpha = np.array(alpha, dtype=np.complex128, ndmin=1)
     alpha_abs = np.abs(alpha)
-    if top(alpha_abs) > 1.0:
-        flag(alpha_abs > 1.0 + _CLAMP, _ALPHA)
+    if _beyond_one(alpha_abs):
+        _flag(fault, ~(alpha_abs <= 1.0 + _CLAMP), _ALPHA)
         alpha = _clamp_rows(alpha, alpha_abs)
         alpha_abs = np.abs(alpha)
     if kind == "ncm":
@@ -405,32 +494,27 @@ def feasibility_core(kind: str, alpha, beta, m: int, r, p=None) -> MachineBatch:
     else:
         beta = np.array(beta, dtype=np.complex128, ndmin=1)
         beta_abs = np.abs(beta)
-        if top(beta_abs) > 1.0:
-            flag(beta_abs > 1.0 + _CLAMP, _BETA)
+        if _beyond_one(beta_abs):
+            _flag(fault, ~(beta_abs <= 1.0 + _CLAMP), _BETA)
             beta = _clamp_rows(beta, beta_abs)
     if r.shape != (n, 2, m):
         return stopped(_SHAPE, beta=beta)
     if not (np.minimum.reduce(r, axis=None, initial=0.0) >= -_CLAMP
             and np.maximum.reduce(r, axis=None, initial=0.0) <= 1.0 + _CLAMP):  # NaN lands here too
-        flag(~np.isfinite(r).all(axis=(1, 2)), _NONFINITE)
-        flag(((r < -_CLAMP) | (r > 1.0 + _CLAMP)).any(axis=(1, 2)), _RANGE)
+        _flag(fault, ~np.isfinite(r).all(axis=(1, 2)), _NONFINITE)
+        _flag(fault, ((r < -_CLAMP) | (r > 1.0 + _CLAMP)).any(axis=(1, 2)), _RANGE)
     r = r.clip(0.0, 1.0)
     sums = r.sum(axis=-1)
-    largest = top(sums)
+    largest = np.fmax.reduce(sums, axis=None, initial=-np.inf)  # NaN ignored: a NaN row is faulted above
     if largest > 1.0 + _CLAMP:
-        flag((sums > 1.0 + _CLAMP).any(axis=1), _SUM)
+        _flag(fault, (sums > 1.0 + _CLAMP).any(axis=1), _SUM)
     if kind == "joint" and largest >= 1.0:
-        flag((np.abs(alpha * beta) > 0.0) & (sums >= 1.0).any(axis=1), _STRICT)
+        _flag(fault, (np.abs(alpha * beta) > 0.0) & (sums >= 1.0).any(axis=1), _STRICT)
     r.setflags(write=False)
     if p is not None:
-        p = np.asarray(p, dtype=np.complex128)
-        if p.shape != (n, m):
+        p, shaped = _checked_probes(p, fault, m)
+        if not shaped:
             return stopped(_P_SHAPE, beta=beta, p=p)
-        mods = np.abs(p)
-        if top(mods) > 1.0:
-            flag((mods > 1.0 + _CLAMP).any(axis=1), _P_DISK)
-            p = _clamp_rows(p, mods)
-        p.setflags(write=False)
 
     with _silent_faults(fault):
         t = _target(kind, alpha, beta)
@@ -439,17 +523,15 @@ def feasibility_core(kind: str, alpha, beta, m: int, r, p=None) -> MachineBatch:
         # S = sum_k |c_k|: the most the success branches can cancel of T.
         total = (amps * alpha_abs[:, None] ** _overlap_powers(kind, m)).sum(axis=-1)
         rhs = t_abs - total
+        diag = 1.0 - sums
         if p is None:
             # Optimal probes align every c_k p_k with T until the sum meets it,
             # so the off-diagonal has modulus max(0, |T| - S); its value waits
             # for a report (MachineBatch.off).
             off = None
-            off_sq = np.maximum(rhs, 0.0) ** 2
+            det = diag[:, 0] * diag[:, 1] - np.maximum(rhs, 0.0) ** 2
         else:
-            off = t - (_slot_couplings(kind, alpha, amps) * p).sum(axis=-1)
-            off_sq = np.abs(off) ** 2
-        diag = 1.0 - sums
-        det = diag[:, 0] * diag[:, 1] - off_sq
+            off, det = _probe_residual(t, _slot_couplings(kind, alpha, amps), diag, p)
         failure = np.maximum(diag, 0.0)
         lhs = np.sqrt(failure[:, 0] * failure[:, 1])
         lead = 1.0 if kind == "ncm" else np.abs(beta)

@@ -21,6 +21,11 @@ of joint machines at once: the cases, roots and members are arrays (a
 :class:`TwoStepBatch`), and the members of all rows are validated and
 asserted in one core call per member kind.  :func:`decompose_many` is its
 list of :class:`TwoStepPlan` per row, and :func:`decompose_two_step` its
+length-1 call.  :func:`compose_arrays` composes two member batches row by
+row: the joint machines of all rows are validated and asserted in one core
+call, and their optimal probes are set on that validated batch
+(:meth:`~clonekit.machine.MachineBatch.with_p`) without a second one.
+:func:`compose_many` is its list of joint machines, and :func:`compose` its
 length-1 call.
 """
 
@@ -31,16 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, NumericalError, ValidationError, unwrap
-from .machine import (
-    FeasibilityReport,
-    MachineBatch,
-    MachineSpec,
-    feasibility_core,
-    feasible,
-    optimal_probe_overlaps,
-    ray_limit,
-    ray_terms,
-)
+from .machine import FeasibilityReport, MachineBatch, MachineSpec, feasibility_core, ray_limit, ray_terms
 from .qlinalg import DEFAULT_TOL
 
 
@@ -220,26 +216,70 @@ def compose(supp: MachineSpec, ncm: MachineSpec, tol: float = DEFAULT_TOL) -> Ma
     """Merge feasible two-step members into one feasible joint machine.
 
     Per slot, r_k = r_kB + (1 - sum r_B) r_kA.  Feasibility of the result
-    is a theorem, but it is asserted here rather than assumed.
-    """
-    if supp.kind != "supplementary" or ncm.kind != "ncm":
-        raise ValidationError("compose expects a supplementary member and an ncm member")
-    if supp.m != ncm.m:
-        raise ValidationError("members disagree on copy depth m")
-    if abs(supp.alpha - ncm.alpha) > tol:
-        raise ValidationError("members disagree on the original-state overlap alpha")
-    if not feasible(supp, tol).feasible:
-        raise InfeasibleError("supplementary member is infeasible")
-    if not feasible(ncm, tol).feasible:
-        raise InfeasibleError("ncm member is infeasible")
+    is a theorem, but it is asserted here rather than assumed.  The joint
+    machine carries its optimal probe overlaps as explicit ``p``.
 
-    sum_b = supp.sum_r
-    r = supp.r + (1.0 - sum_b)[:, None] * ncm.r
-    joint = MachineSpec("joint", supp.alpha, supp.beta, supp.m, r)
-    joint = joint.with_p(optimal_probe_overlaps(joint))
-    if not feasible(joint, tol).feasible:
-        raise NumericalError("composed joint machine failed the feasibility assertion")
-    return joint
+    A length-1 call of :func:`compose_many`.
+    """
+    return unwrap(compose_many(supp.as_batch(), ncm.as_batch(), tol)[0])
+
+
+def compose_arrays(supp: MachineBatch, ncm: MachineBatch, tol: float = DEFAULT_TOL) -> tuple:
+    """:func:`compose` for every row of two member batches of one length, in one core call: (errors, joint).
+
+    Row i composes supp row i with ncm row i.  ``errors[i]`` is None or the
+    error row i's :func:`compose` raises, checked in the same order: the
+    members' validation faults (supp, then ncm), their kinds, their depths,
+    their overlaps alpha, their feasibility (supp, then ncm), the joint
+    machine's validation fault and its feasibility.  ``joint`` is the
+    :class:`~clonekit.machine.MachineBatch` of the composed machines with
+    their optimal probes set (:meth:`~clonekit.machine.MachineBatch.with_p`),
+    meaningless on failing rows; it is None when every row failed before it
+    was built, and then the joint core call is not made.
+    """
+    n = len(supp)
+    if len(ncm) != n:
+        raise ValidationError(f"member batches differ in length: {n} and {len(ncm)}")
+    errors: list = [None] * n
+    for i in (supp.fault | ncm.fault).nonzero()[0].tolist():
+        errors[i] = supp.error(i) or ncm.error(i)
+    if supp.det is None or ncm.det is None:  # a fault of the whole call: every row carries one
+        return errors, None
+    if supp.kind != "supplementary" or ncm.kind != "ncm":
+        return [e or ValidationError("compose expects a supplementary member and an ncm member") for e in errors], None
+    if supp.m != ncm.m:
+        return [e or ValidationError("members disagree on copy depth m") for e in errors], None
+    with np.errstate(all="ignore"):  # faulted rows may overflow or hold NaN
+        apart = np.abs(supp.alpha - ncm.alpha) > tol
+    supp_ok, ncm_ok = supp.verdict(tol), ncm.verdict(tol)
+    for i in (apart | ~(supp_ok & ncm_ok)).nonzero()[0].tolist():
+        if errors[i] is not None:
+            continue
+        if apart[i]:
+            errors[i] = ValidationError("members disagree on the original-state overlap alpha")
+        elif not supp_ok[i]:
+            errors[i] = InfeasibleError("supplementary member is infeasible")
+        else:
+            errors[i] = InfeasibleError("ncm member is infeasible")
+    if None not in errors:
+        return errors, None
+    r = supp.r + (1.0 - supp.sums)[:, :, None] * ncm.r  # the core clipped r to [0, 1], or NaN: no warning
+    joint = feasibility_core("joint", supp.alpha, supp.beta, supp.m, r)
+    joint = joint.with_p(joint.p_opt)
+    for i in ((joint.fault != 0) | ~joint.verdict(tol)).nonzero()[0].tolist():
+        if errors[i] is None:
+            errors[i] = joint.error(i) or NumericalError("composed joint machine failed the feasibility assertion")
+    return errors, joint
+
+
+def compose_many(supp: MachineBatch, ncm: MachineBatch, tol: float = DEFAULT_TOL) -> list:
+    """:func:`compose` for every row of two member batches: the length-N view of :func:`compose_arrays`.
+
+    Returns one outcome per row (see :mod:`clonekit.errors`): the joint
+    machine, or the error that row's :func:`compose` raises.
+    """
+    errors, joint = compose_arrays(supp, ncm, tol)
+    return [error or joint.spec(i) for i, error in enumerate(errors)]
 
 
 def strategy_success(sum_ra, sum_rb, strategy: str) -> tuple[float, float]:

@@ -185,18 +185,29 @@ def sweep_points(task: dict) -> list[tuple[tuple, object]]:
     return points
 
 
-def check_sweep_against_points(directory, task: dict) -> tuple[int, str, str]:
+def check_sweep_against_points(directory, task: dict, csv: bool = False) -> tuple[int, str, str]:
     """Run a sweep and each of its points as a single command; assert they agree.
 
     A sweep that exits 0 must hold, for every point, the row made from that
     point's single-command report, byte for byte.  A failing sweep must exit
     with the code and stderr of its first failing point in product order.
+    With ``csv``, the sweep also runs with ``--format csv``: it must exit
+    alike, and print the JSON table's header and rows, each cell as the
+    JSON report writes it.
     """
     import json
 
     from clonekit.cli import _canonical
 
-    code, out, err = run_cli(["sweep", "--task", write_json(directory, "sweep.json", task)])
+    path = write_json(directory, "sweep.json", task)
+    code, out, err = run_cli(["sweep", "--task", path])
+    if csv:
+        csv_code, csv_out, csv_err = run_cli(["sweep", "--task", path, "--format", "csv"])
+        assert (csv_code, csv_err) == (code, err)
+        if code == 0:
+            table = json.loads(out)["results"]
+            want = [",".join(table["columns"])] + [",".join(_canonical(v) for v in row) for row in table["rows"]]
+            assert csv_out == "\n".join(want) + "\n"
     singles = []
     for combo, inner in sweep_points(task):
         if isinstance(inner, str):

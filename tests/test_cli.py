@@ -8,6 +8,7 @@ import clonekit.machine
 import clonekit.protocol
 from clonekit.cli import Columns, main
 from helpers import check_sweep_against_points
+from test_sweep_batching import _count_core_calls
 
 
 def write_task(tmp_path, name, payload):
@@ -435,6 +436,104 @@ class TestColumnarSweeps:
         assert len(json.loads(out)["results"]["columns"]) > 2
 
 
+SUPP = {"alpha": 0.5, "beta": 0.9, "m": 1, "r": [[0.05], [0.05]]}
+NCM = {"alpha": 0.5, "m": 1, "r": [[0.1], [0.1]]}
+COMPOSE = {"command": "compose", "supp": SUPP, "ncm": NCM}
+
+
+def _compose_sweep(axes, supp=SUPP, ncm=NCM, **extra) -> dict:
+    run_task = {"command": "compose"}
+    if supp is not None:
+        run_task["supp"] = supp
+    if ncm is not None:
+        run_task["ncm"] = ncm
+    return {"command": "sweep", "run": run_task,
+            "sweep": [{"name": name, "start": start, "stop": stop, "steps": steps}
+                      for name, start, stop, steps in axes],
+            **extra}
+
+
+class TestComposeBatching:
+    """A group of compose tasks makes three core calls and builds only the reports it prints."""
+
+    def test_single_compose_makes_three_core_calls(self, tmp_path, capsys, monkeypatch):
+        calls = _count_core_calls(monkeypatch)
+        built = _count_point_objects(monkeypatch)
+        code, out, err = run(capsys, ["compose", "--task", write_task(tmp_path, "t.json", COMPOSE)])
+        assert code == 0, err
+        assert calls == ["supplementary", "ncm", "joint"]
+        assert built == {"FeasibilityReport": 1}  # the report it prints
+        assert json.loads(out)["results"]["feasibility"]["feasible"] is True
+
+    def test_200_points_make_three_core_calls(self, tmp_path, capsys, monkeypatch):
+        calls = _count_core_calls(monkeypatch)
+        built = _count_point_objects(monkeypatch)
+        task = _compose_sweep([("supp.beta", 0.7, 0.95, 20), ("ncm.r.0.0", 0.0, 0.2, 10)])
+        code, out, err = run(capsys, ["sweep", "--task", write_task(tmp_path, "t.json", task)])
+        assert code == 0, err
+        results = json.loads(out)["results"]
+        assert len(results["rows"]) == 200
+        assert results["columns"][2:] == ["feasibility.det", "feasibility.feasible", "feasibility.reduced_applicable",
+                                          "feasibility.slack"]
+        assert calls == ["supplementary", "ncm", "joint"]
+        assert not built, built
+
+    @pytest.mark.parametrize("task,code,message", [
+        (_compose_sweep([("supp.beta", 0.7, 0.95, 4), ("ncm.r.0.0", 0.0, 0.2, 3)]), 0, ""),
+        (_compose_sweep([("supp.beta", 0.7, 0.95, 3)], supp={**SUPP, "alpha": [0.5, 0.1], "p": [[0.6, 0.8]]},
+                        ncm={**NCM, "alpha": [0.5, 0.1], "beta": 0.2}), 0, ""),
+        (_compose_sweep([("supp.beta", 0.7, 0.95, 4)],
+                        select=["feasibility.slack", "r", "missing", "feasibility.feasible", "sum_r"]), 0, ""),
+        (_compose_sweep([("ncm.alpha", 0.3, 0.6, 3)], supp=None), 2, "missing required field 'supp'"),
+        (_compose_sweep([("ncm.alpha", 0.3, 0.6, 3)], supp={**SUPP, "r": "x"}), 2, "bad machine specification"),
+        (_compose_sweep([("ncm.alpha", 0.3, 0.6, 3)], supp=[0.5]), 2, "a machine must be an object of fields"),
+        (_compose_sweep([("supp.r.0.0", -0.05, -0.1, 2)], ncm={**NCM, "r": "x"}), 2,
+         "success probabilities must lie in [0, 1]"),
+        (_compose_sweep([("supp.r.0.0", 0.05, -0.1, 4)]), 2, "success probabilities must lie in [0, 1]"),
+        (_compose_sweep([("supp.beta", 1.05, 1.1, 2)], ncm={**NCM, "alpha": 1.5}), 2, "|beta| = 1.05 exceeds 1"),
+        (_compose_sweep([("supp.alpha", 0.3, 0.6, 3)], ncm=None), 2, "missing required field 'ncm'"),
+        (_compose_sweep([("supp.beta", 0.7, 0.95, 3)], ncm={**NCM, "m": "x"}), 2, "m must be a finite integer"),
+        (_compose_sweep([("ncm.r.1.0", 0.1, -0.2, 4)]), 2, "success probabilities must lie in [0, 1]"),
+        (_compose_sweep([("supp.beta", 0.7, 0.95, 3)], supp={**SUPP, "kind": "ncm"}, ncm={**NCM, "alpha": 0.6}), 2,
+         "compose expects a supplementary member and an ncm member"),
+        (_compose_sweep([("supp.beta", 0.7, 0.95, 3)], ncm={**NCM, "kind": "joint", "beta": 0.9}), 2,
+         "compose expects a supplementary member and an ncm member"),
+        (_compose_sweep([("supp.beta", 0.7, 0.95, 3)], ncm={"alpha": 0.6, "m": 2, "r": [[0.1, 0.1], [0.1, 0.1]]}),
+         2, "members disagree on copy depth m"),
+        (_compose_sweep([("ncm.alpha", 0.55, 0.6, 3)], supp={**SUPP, "r": [[0.9], [0.9]]}), 2,
+         "members disagree on the original-state overlap alpha"),
+        (_compose_sweep([("supp.r.0.0", 0.8, 0.9, 2)], ncm={**NCM, "r": [[0.9], [0.9]]}), 3,
+         "supplementary member is infeasible"),
+        (_compose_sweep([("ncm.r.0.0", 0.1, 0.99, 4)]), 3, "ncm member is infeasible"),
+        (_compose_sweep([("supp.r.0.0", 0.9, 1.0, 3)], supp={"alpha": 0.9, "beta": 0.1, "m": 1, "r": [[0.9], [0.5]]},
+                        ncm={"alpha": 0.9, "m": 1, "r": [[0.0], [0.0]]}), 2,
+         "a joint machine with nonzero alpha*beta cannot have total success 1"),
+    ], ids=["two-axes", "complex-alpha-and-p", "select", "supp-missing", "supp-unparsed", "supp-not-an-object",
+            "supp-fault-before-ncm-unparsed", "supp-fault", "supp-fault-before-ncm-fault", "ncm-missing",
+            "ncm-unparsed", "ncm-fault", "supp-kind-before-alpha", "ncm-kind", "depth-before-alpha",
+            "alpha-before-infeasible", "supp-infeasible-before-ncm", "ncm-infeasible", "joint-fault"])
+    def test_sweeps_match_single_commands(self, tmp_path, task, code, message):
+        # every compose error, each where it comes in compose's own order
+        got, out, err = check_sweep_against_points(tmp_path, task, csv=True)
+        assert got == code and message in err, err
+        if code == 0:
+            assert len(json.loads(out)["results"]["rows"]) > 2
+
+    def test_joint_assertion_fails_on_its_row(self, tmp_path, monkeypatch):
+        real = clonekit.machine.feasibility_core
+
+        def broken(kind, *args, **kwargs):  # the first joint machine of every call fails its diagonal test
+            batch = real(kind, *args, **kwargs)
+            if kind == "joint":
+                batch.diag = batch.diag.copy()
+                batch.diag[0] = -1.0
+            return batch
+
+        monkeypatch.setattr(clonekit.protocol, "feasibility_core", broken)
+        code, _, err = check_sweep_against_points(tmp_path, _compose_sweep([("supp.beta", 0.7, 0.95, 3)]), csv=True)
+        assert code == 4 and "composed joint machine failed the feasibility assertion" in err
+
+
 class TestMalformedStates:
     @pytest.mark.parametrize("states", [5, "psi", [GOOD_PSI, GOOD_PHI]])
     def test_states_not_an_object(self, tmp_path, capsys, states):
@@ -643,6 +742,31 @@ class TestArraySerialization:
         for obj in cases:
             assert _canonical(obj) == _reference_canonical(_reference_jsonify(obj))
 
+    def test_exact_types_and_subclasses_match_the_reference(self):
+        # exact types go through the writer table, anything else through the isinstance chain: same bytes
+        import collections
+        import enum
+
+        from clonekit.cli import _canonical
+
+        class Kind(str, enum.Enum):
+            JOINT = "joint"
+
+        class Depth(enum.IntEnum):
+            ONE = 1
+
+        class Ratio(float):
+            pass
+
+        values = [0.1, -0.0, 1e300, 7, -(2**70), True, False, None, "caf\u00e9 \"q\"\n\u2603", "", np.float64(1 / 3),
+                  np.bool_(True), np.int64(-3), np.float32(0.1), np.int8(4), np.uint16(9), np.bool_(False),
+                  Kind.JOINT, Depth.ONE, Ratio(2.5), collections.OrderedDict(b=1, a=[2.0]),
+                  (1, 2.5), [[], {}]]
+        report = {"values": values, "keys": {"\u00e9": 1, "b\"": 2, Kind.JOINT: "x"},
+                  "nested": collections.OrderedDict(z=values)}
+        for obj in [*values, report]:
+            assert _canonical(obj) == _reference_canonical(_reference_jsonify(obj)), obj
+
     @pytest.mark.parametrize("ndim", [1, 2, 3])
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_random_arrays_match_list_form(self, ndim, dtype):
@@ -691,6 +815,51 @@ class TestRobustFields:
     def test_exit_2_without_traceback(self, tmp_path, capsys, command, payload):
         code, _, err = run(capsys, [command, "--task", write_task(tmp_path, "t.json", payload)])
         assert code == 2 and err.startswith("clonekit: validation error:")
+
+
+NONFINITE_TASKS = {
+    "feasibility": FEAS_TASK,
+    "decompose": {**FEAS_TASK, "command": "decompose", "beta": 0.9, "r": [[0.5], [0.5]]},
+    "compose": COMPOSE,
+    "optimize": {"command": "optimize", "kind": "joint", "alpha": 0.5, "beta": 0.9, "m": 1},
+    "synthesize": SYNTH_TASK,
+    "simulate": {**SYNTH_TASK, "command": "simulate", "shots": 10, "seed": 1},
+}
+NONFINITE_FIELDS = [
+    ("alpha", "NaN", "alpha is non-finite"),
+    ("alpha", "[0.5, NaN]", "alpha is non-finite"),
+    ("beta", "-Infinity", "beta is non-finite"),
+    ("p", "[NaN]", "p has non-finite entries"),
+]
+
+
+class TestNonFiniteOverlaps:
+    """A NaN or infinite overlap or probe is a validation error (exit 2) for every machine command."""
+
+    @pytest.mark.parametrize("command,field,value,message", [  # optimize takes no probes
+        (command, *case) for command in NONFINITE_TASKS for case in NONFINITE_FIELDS
+        if (command, case[0]) != ("optimize", "p")])
+    def test_exit_2(self, tmp_path, capsys, command, field, value, message):
+        path = f"supp.{field}" if command == "compose" else field
+        task = write_task(tmp_path, "t.json", NONFINITE_TASKS[command])
+        code, out, err = run(capsys, [command, "--task", task, "--set", f"{path}={value}"])
+        assert (code, out) == (2, "")
+        assert err == f"clonekit: validation error: {message}\n"
+
+    def test_nan_in_the_task_file(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(FEAS_TASK).replace('"alpha": 0.5', '"alpha": NaN'))
+        assert run(capsys, ["feasibility", "--task", str(path)]) == (
+            2, "", "clonekit: validation error: alpha is non-finite\n")
+
+
+class TestTaskFileEncoding:
+    def test_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, ["feasibility", "--task", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("clonekit: validation error: task file is not valid UTF-8:")
 
 
 class TestDepthLimit:

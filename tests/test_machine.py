@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -17,6 +18,7 @@ from clonekit.machine import (
     residual_gram,
 )
 from helpers import rand_overlap, random_dominant_spec, random_feasible_spec, raw_r
+from test_sweep_batching import _count_core_calls
 
 
 def joint(alpha, beta, r, p=None, m=None):
@@ -65,6 +67,29 @@ class TestSpecValidation:
     def test_rejects_probe_overlap_off_disk(self):
         with pytest.raises(ValidationError):
             joint(0.5, 0.5, [[0.1]], p=[1.5])
+
+    @pytest.mark.parametrize("alpha,beta,p,message", [
+        (np.nan, 0.5, None, "alpha is non-finite"),
+        (complex(0.3, np.nan), 0.5, None, "alpha is non-finite"),
+        (np.inf, 0.5, None, "alpha is non-finite"),
+        (0.5, np.nan, None, "beta is non-finite"),
+        (0.5, complex(-np.inf, 0.0), None, "beta is non-finite"),
+        (0.5, 0.5, [np.nan], "p has non-finite entries"),
+        (0.5, 0.5, [complex(0.0, np.inf)], "p has non-finite entries"),
+        (np.nan, np.nan, [np.nan], "alpha is non-finite"),  # in MachineSpec's check order
+        (0.5, np.nan, [np.nan], "beta is non-finite"),
+    ])
+    def test_rejects_non_finite_overlaps(self, alpha, beta, p, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            joint(alpha, beta, [[0.1]], p=p)
+        # a core row faults alone, and the scalar clamp says the same
+        batch = feasibility_core("joint", [0.5, alpha], [0.5, beta], 1, np.full((2, 2, 1), 0.1),
+                                 None if p is None else [[1.0], p])
+        assert batch.error(0) is None and str(batch.error(1)) == message
+        if p is None:
+            name, value = ("alpha", alpha) if message.startswith("alpha") else ("beta", beta)
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                _clamp_unit(value, name)
 
 
 def _bits(x) -> bytes:
@@ -205,6 +230,107 @@ class TestClampIsAFixedPoint:
             again = spec.with_p(spec.p)
             assert (_bits(np.complex128(again.alpha)), _bits(np.complex128(again.beta)), _bits(again.p)) == (
                 _bits(np.complex128(spec.alpha)), _bits(np.complex128(spec.beta)), _bits(spec.p))
+
+
+def _probes(rng, n: int, m: int) -> np.ndarray:
+    """Random probe overlaps: inside the disk, of modulus 1, or just outside it (the clamp)."""
+    p = rng.uniform(0.0, 1.0, (n, m)) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (n, m)))
+    unit = rng.random((n, m)) < 0.3
+    p[unit] /= np.abs(p[unit])
+    near = rng.random((n, m)) < 0.3
+    p[near] = _near_unit(rng, int(near.sum()))
+    return p
+
+
+def _spec_bits(spec) -> tuple:
+    """Every field of a spec, of its batch row and of its report, as bytes."""
+    row = spec.as_batch()
+    rep = feasible(spec)
+    return (
+        spec.kind, spec.m, _bits(np.complex128(spec.alpha)),
+        None if spec.beta is None else _bits(np.complex128(spec.beta)), _bits(spec.r), _bits(spec.p),
+        *(_bits(getattr(row, name)) for name in TestFeasibilityCore.FIELDS),
+        _bits(np.array([rep.det, rep.slack])), rep.feasible, rep.reduced_applicable, _bits(rep.residual),
+        _bits(rep.p_used),
+    )
+
+
+class TestWithP:
+    """Probes set on a validated machine: only p is validated, and the result is a full validation's, bit for bit."""
+
+    def _specs(self, rng, kind: str, m: int, n: int = 24) -> list:
+        """Valid specs, built alone or as rows of one batch, some with probes and near-unit overlaps."""
+        alpha = np.array([rand_overlap(rng) for _ in range(n)])
+        beta = np.array([rand_overlap(rng, 0.0, 1.0) for _ in range(n)])
+        alpha[::3], beta[1::3] = _near_unit(rng, len(alpha[::3])), _near_unit(rng, len(beta[1::3]))
+        r = np.stack([raw_r(rng, m) * rng.uniform(0.0, 1.0) for _ in range(n)])
+        p = _probes(rng, n, m)
+        alone = [MachineSpec(kind, alpha[i], beta[i], m, r[i], p[i] if i % 2 else None) for i in range(n // 2)]
+        batch = feasibility_core(kind, alpha, beta, m, r, None if rng.random() < 0.5 else p)
+        assert not batch.fault.any()
+        return alone + [batch.spec(i) for i in range(n // 2, n)]
+
+    @pytest.mark.parametrize("kind", ["joint", "ncm", "supplementary"])
+    def test_equals_full_validation_bitwise(self, kind, monkeypatch):
+        rng = np.random.default_rng(271)
+        calls = _count_core_calls(monkeypatch)
+        for m in (1, 2, 3, 4):
+            specs = self._specs(rng, kind, m)
+            for spec, p in zip(specs, _probes(rng, len(specs), m)):
+                want = dataclasses.replace(spec, p=p)
+                calls.clear()
+                got = spec.with_p(p)
+                assert calls == []  # no core call
+                assert _spec_bits(got) == _spec_bits(want)
+                assert _spec_bits(got.with_p(got.p)) == _spec_bits(want)  # a fixed point
+                assert _spec_bits(spec.with_p(None)) == _spec_bits(dataclasses.replace(spec, p=None))
+
+    @pytest.mark.parametrize("p,message", [
+        ([0.5, 0.5], "p must have shape (1,), got (2,)"),
+        ([[0.5]], "p must have shape (1,), got (1, 1)"),
+        ([1.5], "probe overlaps must lie on the closed unit disk"),
+        ([1.0 + 2e-12], "probe overlaps must lie on the closed unit disk"),
+        ([np.nan], "p has non-finite entries"),
+    ])
+    def test_errors_are_full_validation_errors(self, p, message):
+        for spec in (joint(0.5, 0.5, [[0.1]]), joint(0.5, 0.5, [[0.1]], p=[0.5j])):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                spec.with_p(p)
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                dataclasses.replace(spec, p=p)
+
+    @pytest.mark.parametrize("kind", ["joint", "ncm", "supplementary"])
+    def test_batch_with_p_is_a_core_call_with_p(self, kind):
+        rng = np.random.default_rng(277)
+        n = 60
+        for m in (1, 3):
+            alpha = np.array([rand_overlap(rng) for _ in range(n)])
+            beta = np.array([rand_overlap(rng, 0.0, 1.0) for _ in range(n)])
+            r = np.stack([raw_r(rng, m) * rng.uniform(0.0, 1.2) for _ in range(n)])
+            r[::7] *= 2.0  # rows that fail validation before p
+            old, new = _probes(rng, n, m), _probes(rng, n, m)
+            old[::5, 0], new[::4, -1], new[1::9, 0] = 1.5, 1.5, np.nan  # rows whose probes fail
+            for base_p in (None, old):
+                got = feasibility_core(kind, alpha, beta, m, r, base_p).with_p(new)
+                want = feasibility_core(kind, alpha, beta, m, r, new)
+                assert _bits(got.fault) == _bits(want.fault)
+                assert [str(got.error(i)) for i in range(n)] == [str(want.error(i)) for i in range(n)]
+                ok = want.fault == 0
+                assert 0 < np.count_nonzero(ok) < n
+                for name in ("alpha", "r", "p", *TestFeasibilityCore.FIELDS):
+                    assert _bits(getattr(got, name)[ok]) == _bits(getattr(want, name)[ok]), name
+
+    def test_whole_call_faults_as_the_core(self):
+        r = np.full((2, 2, 1), 0.1)
+        for args in (("ncm", [0.5, 0.5], None, 2, r), ("joint", [0.5, 0.5], None, 1, r),
+                     ("ncm", [0.5, 0.5], None, 1, r, np.ones((2, 2)))):
+            base = feasibility_core(*args)
+            for p in (np.ones((2, args[3])), np.ones((2, 3))):
+                got, want = base.with_p(p), feasibility_core(*args[:5], p)
+                assert [str(got.error(i)) for i in range(2)] == [str(want.error(i)) for i in range(2)]
+        good = feasibility_core("ncm", [0.5, 0.5], None, 1, r)
+        want = ["p must have shape (1,), got (3,)"] * 2
+        assert [str(good.with_p(np.ones((2, 3))).error(i)) for i in range(2)] == want
 
 
 class TestResidualGram:

@@ -1,9 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from clonekit.errors import InfeasibleError, NumericalError, ValidationError
-from clonekit.machine import MachineSpec, feasibility_core, feasible, ray_limit, ray_terms
-from clonekit.protocol import compose, decompose_many, decompose_two_step, f_value, strategy_success
+from clonekit.errors import InfeasibleError, NumericalError, ValidationError, capture
+from clonekit.machine import MachineSpec, feasibility_core, feasible, optimal_probe_overlaps, ray_limit, ray_terms
+from clonekit.protocol import (
+    compose,
+    compose_arrays,
+    compose_many,
+    decompose_many,
+    decompose_two_step,
+    f_value,
+    strategy_success,
+)
 from helpers import random_dominant_spec, random_feasible_spec, random_member_pair
 
 
@@ -221,6 +231,96 @@ class TestCompose:
         ncm = MachineSpec("ncm", 0.9, None, 1, [[0.1], [0.1]])
         with pytest.raises(InfeasibleError):
             compose(supp, ncm)
+
+
+def _bits(x) -> bytes:
+    return np.ascontiguousarray(x).tobytes()
+
+
+def _reference_compose(supp: MachineSpec, ncm: MachineSpec, tol: float) -> MachineSpec:
+    """compose's checks and its joint machine, built by full validation only: a spec, then the spec with p."""
+    if supp.kind != "supplementary" or ncm.kind != "ncm":
+        raise ValidationError("compose expects a supplementary member and an ncm member")
+    if supp.m != ncm.m:
+        raise ValidationError("members disagree on copy depth m")
+    if abs(supp.alpha - ncm.alpha) > tol:
+        raise ValidationError("members disagree on the original-state overlap alpha")
+    if not feasible(supp, tol).feasible:
+        raise InfeasibleError("supplementary member is infeasible")
+    if not feasible(ncm, tol).feasible:
+        raise InfeasibleError("ncm member is infeasible")
+    joint = MachineSpec("joint", supp.alpha, supp.beta, supp.m, supp.r + (1.0 - supp.sum_r)[:, None] * ncm.r)
+    joint = dataclasses.replace(joint, p=optimal_probe_overlaps(joint))
+    if not feasible(joint, tol).feasible:
+        raise NumericalError("composed joint machine failed the feasibility assertion")
+    return joint
+
+
+def _outcome_bits(outcome) -> tuple:
+    if isinstance(outcome, Exception):
+        return type(outcome).__name__, str(outcome)
+    rep = feasible(outcome)
+    return (outcome.kind, _bits(np.complex128(outcome.alpha)), _bits(np.complex128(outcome.beta)), _bits(outcome.r),
+            _bits(outcome.p), _bits(np.array([rep.det, rep.slack])), rep.feasible, rep.reduced_applicable,
+            _bits(rep.residual), _bits(rep.p_used))
+
+
+class TestComposeMany:
+    """compose_many composes row i of two member batches exactly as compose composes that pair alone."""
+
+    def _members(self, rng, n: int, m: int) -> tuple:
+        alpha = np.array([complex(rng.uniform(0.0, 0.95) * np.exp(1j * rng.uniform(0, 2 * np.pi))) for _ in range(n)])
+        beta = rng.uniform(0.0, 1.0, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+        r_b = rng.dirichlet(np.ones(m + 1), (n, 2))[..., :m] * rng.uniform(0.0, 1.0, (n, 1, 1))
+        r_a = rng.dirichlet(np.ones(m + 1), (n, 2))[..., :m] * rng.uniform(0.0, 1.0, (n, 1, 1))
+        ncm_alpha = np.where(rng.random(n) < 0.1, alpha + 1e-3, alpha)  # some rows disagree on alpha
+        r_a[::11] *= 3.0  # some ncm rows fail validation
+        return (feasibility_core("supplementary", alpha, beta, m, r_b),
+                feasibility_core("ncm", ncm_alpha, None, m, r_a))
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_rows_match_the_pair_alone(self, m):
+        rng = np.random.default_rng(300 + m)
+        supp, ncm = self._members(rng, 120, m)
+        outcomes = compose_many(supp, ncm)
+        kinds = set()
+        for i, outcome in enumerate(outcomes):
+            error = supp.error(i) or ncm.error(i)
+            want = error if error is not None else capture(_reference_compose, supp.spec(i), ncm.spec(i), 1e-9)
+            assert _outcome_bits(outcome) == _outcome_bits(want), i
+            if error is None:  # and compose, its length-1 call, agrees
+                assert _outcome_bits(capture(compose, supp.spec(i), ncm.spec(i))) == _outcome_bits(want), i
+            kinds.add(type(outcome).__name__)
+        assert kinds == {"MachineSpec", "ValidationError", "InfeasibleError"}
+
+    def test_whole_batch_errors_in_order(self):
+        r = np.full((2, 2, 1), 0.1)
+        supp = feasibility_core("supplementary", [0.5, 1.5], [0.9, 0.9], 1, r)
+        cases = [  # (supp, ncm, errors of the two rows)
+            (supp, feasibility_core("ncm", [0.5, 0.5], None, 2, np.full((2, 2, 2), 0.1)),
+             ["members disagree on copy depth m", "|alpha| = 1.5 exceeds 1"]),
+            (supp, feasibility_core("joint", [0.5, 0.5], [0.9, 0.9], 1, r),
+             ["compose expects a supplementary member and an ncm member", "|alpha| = 1.5 exceeds 1"]),
+            (supp, feasibility_core("ncm", [0.5, 0.5], None, 2, r),
+             ["r must have shape (2, 2), got (2, 1)", "|alpha| = 1.5 exceeds 1"]),
+            (feasibility_core("ncm", [0.5, 0.5], None, 1, r), feasibility_core("ncm", [0.5, 2.0], None, 1, r),
+             ["compose expects a supplementary member and an ncm member", "|alpha| = 2 exceeds 1"]),
+        ]
+        for supp_b, ncm_b, want in cases:
+            errors, joint = compose_arrays(supp_b, ncm_b)
+            assert [str(e) for e in errors] == want and joint is None
+        with pytest.raises(ValidationError, match="differ in length"):
+            compose_arrays(supp, feasibility_core("ncm", [0.5], None, 1, r[:1]))
+
+    def test_joint_fault_then_joint_verdict(self):
+        # a certain-success supplementary row composes onto the forbidden joint total 1
+        supp = feasibility_core("supplementary", [0.9, 0.9], [0.1, 0.1], 1, np.array([[[1.0], [0.5]], [[0.9], [0.5]]]))
+        ncm = feasibility_core("ncm", [0.9, 0.9], None, 1, np.zeros((2, 2, 1)))
+        errors, joint = compose_arrays(supp, ncm)
+        assert str(errors[0]) == "a joint machine with nonzero alpha*beta cannot have total success 1"
+        assert errors[1] is None and joint.report(1).feasible and joint.p is not None
+        with pytest.raises(ValidationError, match="total success 1"):
+            compose(supp.spec(0), ncm.spec(0))
 
 
 class TestRoundTrip:
