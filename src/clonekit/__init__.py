@@ -46,65 +46,7 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "CloneKitError",
-    "DEFAULT_TOL",
-    "FeasibilityReport",
-    "MachineBatch",
-    "InfeasibleError",
-    "MachineSpec",
-    "NumericalError",
-    "OptimizationProblem",
-    "OptimizationResult",
-    "OutcomeDistribution",
-    "PureState",
-    "SpaceLayout",
-    "TwoStepBatch",
-    "TwoStepPlan",
-    "UnitaryRealization",
-    "ValidationError",
-    "basis_state",
-    "canonical_pair",
-    "cholesky_psd2",
-    "compose",
-    "compose_arrays",
-    "compose_many",
-    "decompose_arrays",
-    "decompose_many",
-    "decompose_two_step",
-    "discrimination_bound",
-    "discrimination_convergence",
-    "discrimination_convergence_many",
-    "dominance_premise",
-    "duan_guo_bound",
-    "embed_input",
-    "exact_statistics",
-    "f_value",
-    "feasibility_core",
-    "feasible",
-    "global_success",
-    "grid_oracle",
-    "inner",
-    "ncmsi_advantage",
-    "ncmsi_advantage_many",
-    "optimal_probe_overlaps",
-    "optimize",
-    "optimize_many",
-    "overlap",
-    "psd2_check",
-    "qubit",
-    "ray_limit",
-    "ray_terms",
-    "realize",
-    "reduced_inequality",
-    "residual_gram",
-    "sample",
-    "strategy_success",
-    "target_output",
-    "tensor",
-    "tensor_power",
-    "uqcm_distance",
-]
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):

@@ -38,6 +38,7 @@ arrays are serialized one last-axis row at a time.
 from __future__ import annotations
 
 import argparse
+import cmath
 import itertools
 import json
 import math
@@ -640,6 +641,14 @@ def _cmd_simulate(task: dict, tol: float, seed) -> dict:
 _BOUND_QUANTITIES = ("duan_guo", "discrimination_bound", "advantage", "convergence", "single_slot_optimum")
 
 
+def _bound_overlap(task: dict, name: str) -> complex:
+    """A bounds task's finite overlap field, rejected as the machine core rejects a non-finite one."""
+    value = _parse_complex(_require(task, name), name)
+    if not cmath.isfinite(value):
+        raise ValidationError(f"{name} is non-finite")
+    return value
+
+
 def _bound_items(task: dict, advantage: list, slots: list) -> list:
     """(quantity, value) per requested quantity, in order.
 
@@ -653,7 +662,7 @@ def _bound_items(task: dict, advantage: list, slots: list) -> list:
     items: list = []
     try:
         quantities = task.get("quantities", ["duan_guo", "discrimination_bound"])
-        alpha = _parse_complex(_require(task, "alpha"), "alpha")
+        alpha = _bound_overlap(task, "alpha")
         try:
             quantities = list(quantities)
         except TypeError:
@@ -662,23 +671,23 @@ def _bound_items(task: dict, advantage: list, slots: list) -> list:
             if q == "duan_guo":
                 items.append((q, duan_guo_bound(abs(alpha))))
             elif q == "discrimination_bound":
-                beta = _parse_complex(_require(task, "beta"), "beta")
+                beta = _bound_overlap(task, "beta")
                 items.append((q, discrimination_bound(
                     abs(alpha), abs(beta), _depth(task.get("m", 1), "m"),
                     _number(task.get("p_m", 0.0), "p_m"),
                 )))
             elif q == "advantage":
-                beta = _parse_complex(_require(task, "beta"), "beta")
+                beta = _bound_overlap(task, "beta")
                 request = (alpha, beta, _depth(task.get("m", 1), "m"), _priors(task))
                 items.append((q, len(advantage)))
                 advantage.append(request)
             elif q == "convergence":
-                beta = _parse_complex(_require(task, "beta"), "beta")
+                beta = _bound_overlap(task, "beta")
                 request = (abs(alpha), abs(beta), _depth(task.get("m_max", 8), "m_max"))
                 items.append((q, len(slots)))
                 slots.append(request)
             elif q == "single_slot_optimum":
-                beta = _parse_complex(_require(task, "beta"), "beta")
+                beta = _bound_overlap(task, "beta")
                 request = (abs(alpha), abs(beta), _depth(task.get("m", 1), "m"))
                 items.append((q, len(slots)))
                 slots.append(request)

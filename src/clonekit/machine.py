@@ -402,7 +402,7 @@ def _checked_probes(p, fault: np.ndarray, m: int) -> tuple:
     within the clamp of 1 put on the disk.  A p of another shape returns
     (p, False) and faults nothing: that is a fault of the whole call.
     """
-    p = np.asarray(p, dtype=np.complex128)
+    p = np.array(p, dtype=np.complex128)  # a copy: freezing it leaves the caller's array writable
     if p.shape != (len(fault), m):
         return p, False
     mods = np.abs(p)

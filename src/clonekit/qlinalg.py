@@ -3,11 +3,13 @@
 Everything in here is plain numpy on immutable inputs: inner products,
 Kronecker products of vectors (one outer product per factor, never
 ``np.kron``), 2x2 positive-semidefiniteness tests and Cholesky factors, and
-the extension of a partial isometry (a few vector pairs with matching Gram
-matrices) to a full unitary, kept in the low-rank form
-U = I + Q (W - I) Q^dagger.  Its unitarity certificate is the spectral norm
-||U^dagger U - I||_2, read from a k x k matrix in O(dim k^2).  The 2x2
-routines are closed-form on purpose; no eigensolver is involved.
+the unitary that maps a few vectors onto orthogonal vectors with the same
+Gram matrix.  That unitary swaps the two spans: Gram-Schmidt bases Q_X and
+Q_Y with one triangular factor give Q = [Q_X | Q_Y] and the swap W, kept in
+the low-rank form U = I + Q (W - I) Q^dagger.  Its unitarity certificate is
+the spectral norm ||U^dagger U - I||_2, read from a k x k matrix in
+O(dim k^2).  The 2x2 routines are closed-form on purpose; no eigensolver is
+involved.
 """
 
 from __future__ import annotations
@@ -40,10 +42,6 @@ def inner(a, b) -> complex:
     if a.shape != b.shape:
         raise ValidationError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
     return complex(np.vdot(a, b))
-
-
-def norm(a) -> float:
-    return float(np.linalg.norm(as_cvector(a)))
 
 
 def kron_vectors(*vectors: np.ndarray) -> np.ndarray:
@@ -144,45 +142,53 @@ class LowRankUnitary:
 
         With A = W - I and G = Q^dagger Q, U^dagger U - I = Q M Q^dagger
         where M = A + A^dagger + A^dagger G A, an identity that needs
-        neither Q nor W to be exactly orthonormal.  A thin QR Q = Q' R with
-        orthonormal Q' gives G = R^dagger R and leaves the norm at
-        ||R M R^dagger||_2, a k x k matrix.  The spectral norm bounds every
-        entry of U^dagger U - I, so it is never below the largest one.
+        neither Q nor W to be exactly orthonormal.  The Cholesky factor
+        G = L L^dagger, which needs Q's columns linearly independent, leaves
+        the norm at ||L^dagger M L||_2, a k x k matrix: Q = Q' L^dagger
+        with orthonormal Q'.  The spectral norm
+        bounds every entry of U^dagger U - I, so it is never below the
+        largest one.
         """
         a = self._shift()
-        r = np.linalg.qr(self.q, mode="r")
-        gram = r.conj().T @ r
-        core = r @ (a + a.conj().T + a.conj().T @ gram @ a) @ r.conj().T
+        gram = self.q.conj().T @ self.q
+        low = np.linalg.cholesky(gram)
+        core = low.conj().T @ (a + a.conj().T + a.conj().T @ gram @ a) @ low
         return float(np.linalg.norm(core, 2))
 
 
-def _positive_qr_unitary(a: np.ndarray, tol: float) -> np.ndarray:
-    """Unitary V of the complete QR factorization a = V R with a positive diagonal on R.
+def _gram_schmidt(vectors: list) -> tuple[list, np.ndarray]:
+    """Orthonormal q[j] and upper-triangular T with vectors[j] = sum_i q[i] T[i, j].
 
-    Raises ValidationError when a diagonal entry of R is within ``tol`` of
-    zero, i.e. when the columns of ``a`` are linearly dependent.
+    Gram-Schmidt with one re-orthogonalization pass ("twice is enough"),
+    so q stays orthonormal to rounding however close to parallel the
+    vectors are.  T has a nonnegative real diagonal, the residual norms;
+    a vector with residual exactly zero is kept as it is, and the caller
+    reads linear dependence from the diagonal.
     """
-    v, r = np.linalg.qr(a, mode="complete")
-    diag = np.diagonal(r)
-    if np.any(np.abs(diag) <= tol):
-        raise ValidationError("vectors are linearly dependent beyond tolerance")
-    v[:, : diag.size] *= diag / np.abs(diag)
-    return v
+    q: list = []
+    t = np.zeros((len(vectors), len(vectors)), dtype=np.complex128)
+    for j, v in enumerate(vectors):
+        for _ in range(2):
+            for i, u in enumerate(q):
+                c = np.vdot(u, v)
+                v = v - c * u
+                t[i, j] += c
+        t[j, j] = nrm = np.sqrt(np.vdot(v, v).real)
+        q.append(v / nrm if nrm > 0.0 else v)
+    return q, t
 
 
 def low_rank_unitary(inputs, outputs, tol: float = DEFAULT_TOL) -> LowRankUnitary:
-    """Unitary U with U @ inputs[j] = outputs[j] for Gram-matched vector lists.
+    """Unitary U with U @ inputs[j] = outputs[j] for orthogonal, Gram-matched vector lists.
 
-    Preconditions: equal counts and dimensions, Gram(inputs) equal to
-    Gram(outputs) within ``tol``, and linearly independent inputs and
-    outputs.  One thin QR of the stack [X | Y] = Q [R_x | R_y] gives Q,
-    k = min(dim, 2n) orthonormal columns spanning both sides.  With
-    R_x = V_x T_x and R_y = V_y T_y complete QR factorizations whose
-    triangular factors have positive diagonals, equal Gram matrices give
-    T_x = T_y (Cholesky factors are unique), so W = V_y V_x^dagger maps
-    each R_x column onto the matching R_y column.  Q may hold directions
-    outside span(X, Y) when the stack is rank-deficient; U stays unitary
-    and still maps X onto Y.  The result is deterministic.
+    Preconditions: equal counts and dimensions, inputs orthogonal to every
+    output (X^dagger Y = 0), Gram(inputs) equal to Gram(outputs), each
+    within ``tol``, and linearly independent inputs.  Gram-Schmidt gives
+    X = Q_X T_X and Y = Q_Y T_Y; equal Gram matrices give T_X = T_Y
+    (Cholesky factors are unique), so the swap W = [[0, I], [I, 0]] on
+    Q = [Q_X | Q_Y] maps each X column onto the matching Y column and each
+    Y column back: U = U^dagger exchanges span(X) and span(Y) and is the
+    identity off both.  The result is deterministic.
     """
     ins = [as_cvector(v) for v in inputs]
     outs = [as_cvector(v) for v in outputs]
@@ -197,13 +203,12 @@ def low_rank_unitary(inputs, outputs, tol: float = DEFAULT_TOL) -> LowRankUnitar
     if n > dim:
         raise ValidationError("more vectors than dimensions")
 
-    stack = np.column_stack(ins + outs)
-    x, y = stack[:, :n], stack[:, n:]
-    if np.max(np.abs(x.conj().T @ x - y.conj().T @ y)) > tol:
+    qx, tx = _gram_schmidt(ins)
+    qy, ty = _gram_schmidt(outs)
+    if np.max(np.abs(tx.conj().T @ tx - ty.conj().T @ ty)) > tol:
         raise ValidationError("Gram matrices of inputs and outputs disagree beyond tolerance")
-
-    q, r = np.linalg.qr(stack)
-    vx = _positive_qr_unitary(r[:, :n], tol)
-    vy = _positive_qr_unitary(r[:, n:], tol)
-    return LowRankUnitary(q=q, w=vy @ vx.conj().T)
-
+    if min(tx.diagonal().real.min(), ty.diagonal().real.min()) <= tol:
+        raise ValidationError("vectors are linearly dependent beyond tolerance")
+    if np.max(np.abs(np.conj(ins) @ np.transpose(outs))) > tol:
+        raise ValidationError("inputs and outputs are not orthogonal beyond tolerance")
+    return LowRankUnitary(q=np.array(qx + qy).T, w=np.eye(2 * n, k=n) + np.eye(2 * n, k=-n))

@@ -1,14 +1,16 @@
 """Explicit unitary construction for a feasible machine and its statistics.
 
 Given a feasible spec and concrete input states, the machine's two required
-input-output pairs are embedded in the full AB x P space, the failure branch
-is completed from the Cholesky factor of the residual Gram matrix, and the
-resulting Gram-matched pair map is extended to a full unitary, kept in the
-low-rank form U = I + Q (W - I) Q^dagger (Q spans at most four
-directions).  Measurement statistics are then exact: apply U to each input
-through the factors, project the probe register onto each slot subspace
-(or the failure subspace) and read off probabilities and post-selected
-copy fidelities.
+input-output pairs are embedded in the full AB x P space and the failure
+branch is completed from the Cholesky factor of the residual Gram matrix.
+The inputs sit on the probe's ready index and the outputs on slot and
+failure indices only, so the two pairs are orthogonal with equal Gram
+matrices, and the unitary is the swap of their spans:
+U = I + Q (W - I) Q^dagger with Q = [Q_X | Q_Y], four Gram-Schmidt
+columns, and W = [[0, I], [I, 0]].  Measurement statistics are then exact:
+apply U to each input through the factors, project the probe register onto
+each slot subspace (or the failure subspace) and read off probabilities and
+post-selected copy fidelities.
 
 Every step costs O(dim), dim = 2^(m+1) (2m+3): the copies psi^(x)n are
 built once per input from outer products, each output is written as an
@@ -115,9 +117,11 @@ def realize(
     (required unless kind is "ncm").  Their overlaps must match the spec's
     alpha and beta within ``tol``.  A depth whose dim-sized vector exceeds
     ``VECTOR_BYTES_BUDGET`` raises ValidationError before anything is built.
-    The outputs reproduce the inputs' Gram matrix by construction;
-    :func:`clonekit.qlinalg.low_rank_unitary` checks it, and raises
-    ValidationError if a faulty failure factor breaks it.
+    The outputs reproduce the inputs' Gram matrix by construction and live
+    on probe indices the inputs leave empty, so
+    :func:`clonekit.qlinalg.low_rank_unitary` builds U as the swap of the
+    input and output spans; it checks both facts, and raises
+    ValidationError if a faulty failure factor breaks the Gram match.
     """
     layout = SpaceLayout(spec.m)
     if layout.total_dim * _COMPLEX_BYTES > VECTOR_BYTES_BUDGET:
@@ -160,8 +164,8 @@ def realize(
             probe = layout.slot_probe(k, i, p[k - 1])[lo:hi + 1]
             head = copies[i][k - 1]
             # Added into the zero table, not assigned, so every zero entry is
-            # +0 as in a sum of branches: the completion of U off the input
-            # span follows the exact bits of the outputs.
+            # +0 as in a sum of branches: U's swap basis for the outputs,
+            # and so the emitted matrix, follows their exact bits.
             table[:: layout.pad_stride(head.size), lo:hi + 1] += amp * np.multiply.outer(head, probe)
         # Conjugated row of L so the failure branch's Gram equals L L^dagger,
         # i.e. the residual itself.

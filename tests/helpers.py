@@ -96,11 +96,17 @@ def random_unitary(rng, dim: int) -> np.ndarray:
 
 
 def random_gram_matched(rng, dim: int, count: int = 2):
-    """(inputs, outputs) lists related by a hidden unitary."""
-    vecs = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
+    """(inputs, outputs) lists related by a hidden unitary, on disjoint coordinates.
+
+    Inputs live on the first dim / 2 coordinates and outputs on the rest,
+    so every input is orthogonal to every output, as a machine's are.
+    """
+    half = dim // 2
+    vecs = rng.normal(size=(count, half)) + 1j * rng.normal(size=(count, half))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    q = random_unitary(rng, dim)
-    return [v for v in vecs], [q @ v for v in vecs]
+    q = random_unitary(rng, half)
+    zero = np.zeros(half)
+    return [np.concatenate([v, zero]) for v in vecs], [np.concatenate([zero, q @ v]) for v in vecs]
 
 
 def random_qubit(rng):

@@ -6,7 +6,7 @@ import pytest
 
 import clonekit.machine
 import clonekit.protocol
-from clonekit.cli import Columns, main
+from clonekit.cli import _BOUND_QUANTITIES, Columns, main
 from helpers import check_sweep_against_points
 from test_sweep_batching import _count_core_calls
 
@@ -811,7 +811,8 @@ class TestRobustFields:
         ("feasibility", {**FEAS_TASK, "p": 5}),
         ("bounds", {"alpha": 0.5, "beta": 0.5, "quantities": None}),
         ("bounds", {"alpha": 0.5, "beta": 0.5, "m": 0, "quantities": ["single_slot_optimum"]}),
-    ], ids=["scalar-p", "null-quantities", "single-slot-depth-0"])
+        ("feasibility", {"kind": "ncm", "alpha": 0.5, "m": 1, "r": [[1.0000001], [0.1]]}),
+    ], ids=["scalar-p", "null-quantities", "single-slot-depth-0", "r-entry-just-above-1"])
     def test_exit_2_without_traceback(self, tmp_path, capsys, command, payload):
         code, _, err = run(capsys, [command, "--task", write_task(tmp_path, "t.json", payload)])
         assert code == 2 and err.startswith("clonekit: validation error:")
@@ -843,6 +844,15 @@ class TestNonFiniteOverlaps:
         path = f"supp.{field}" if command == "compose" else field
         task = write_task(tmp_path, "t.json", NONFINITE_TASKS[command])
         code, out, err = run(capsys, [command, "--task", task, "--set", f"{path}={value}"])
+        assert (code, out) == (2, "")
+        assert err == f"clonekit: validation error: {message}\n"
+
+    @pytest.mark.parametrize("quantity,field,value,message", [
+        (quantity, *case) for quantity in _BOUND_QUANTITIES for case in NONFINITE_FIELDS
+        if case[0] == "alpha" or case[0] == "beta" and quantity != "duan_guo"])  # duan_guo reads no beta
+    def test_bounds_exit_2(self, tmp_path, capsys, quantity, field, value, message):
+        task = write_task(tmp_path, "t.json", {"alpha": 0.5, "beta": 0.7, "m": 1, "quantities": [quantity]})
+        code, out, err = run(capsys, ["bounds", "--task", task, "--set", f"{field}={value}"])
         assert (code, out) == (2, "")
         assert err == f"clonekit: validation error: {message}\n"
 

@@ -163,6 +163,7 @@ class TestFeasibilityCore:
             (0.5, 1.0 + 1e-6, good, [1.0], "|beta| = 1.000001 exceeds 1"),
             (0.5, 0.5, [[np.inf], [0.1]], [1.0], "r has non-finite entries"),
             (0.5, 0.5, [[-0.1], [0.1]], [1.0], "success probabilities must lie in [0, 1]"),
+            (0.5, 0.5, [[1.0000001], [0.1]], [1.0], "success probabilities must lie in [0, 1]"),
             (0.5, 0.5, [[1.0], [0.1]], [1.0], "a joint machine with nonzero alpha*beta cannot have total success 1"),
             (0.5, 0.5, good, [1.5], "probe overlaps must lie on the closed unit disk"),
             (1.0 + 5e-13, 0.5, good, [1.0 + 5e-13], None),
@@ -319,6 +320,19 @@ class TestWithP:
                 assert 0 < np.count_nonzero(ok) < n
                 for name in ("alpha", "r", "p", *TestFeasibilityCore.FIELDS):
                     assert _bits(getattr(got, name)[ok]) == _bits(getattr(want, name)[ok]), name
+
+    def test_caller_probes_are_not_frozen(self):
+        # The batch keeps a read-only copy; the caller's own complex array
+        # stays writable and unchanged.
+        r = np.full((2, 2, 1), 0.1)
+        for p in (np.array([[0.5], [0.25j]]), np.array([[1.0 + 1e-13], [0.5]], dtype=np.complex128)):
+            before = p.copy()
+            base = feasibility_core("joint", [0.5, 0.5], [0.5, 0.5], 1, r, p)
+            assert base.p is not p and not base.p.flags.writeable
+            assert p.flags.writeable and _bits(p) == _bits(before)
+            batch = feasibility_core("joint", [0.5, 0.5], [0.5, 0.5], 1, r).with_p(p)
+            assert batch.p is not p and not batch.p.flags.writeable
+            assert p.flags.writeable and _bits(p) == _bits(before)
 
     def test_whole_call_faults_as_the_core(self):
         r = np.full((2, 2, 1), 0.1)

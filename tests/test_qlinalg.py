@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from clonekit.errors import ValidationError
+from clonekit.machine import MachineSpec
 from clonekit.qlinalg import (
     LowRankUnitary,
     cholesky_psd2,
@@ -10,7 +11,9 @@ from clonekit.qlinalg import (
     psd2_check,
     tensor,
 )
-from helpers import random_gram_matched, random_psd2
+from clonekit.states import canonical_pair
+from clonekit.synthesis import realize
+from helpers import boundary_scale, random_gram_matched, random_psd2
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
@@ -125,8 +128,11 @@ class TestExtendToUnitary:
     """The dense unitary of low_rank_unitary maps each input onto its output."""
 
     def test_identity_case(self):
-        u = low_rank_unitary([E0, E1], [E0, E1]).dense()
-        np.testing.assert_allclose(u, np.eye(2), atol=1e-12)
+        # Basis inputs onto orthogonal basis outputs: U swaps e0, e1 with
+        # e2, e3 and is the identity on e4, e5.
+        e = np.eye(6, dtype=complex)
+        u = low_rank_unitary([e[0], e[1]], [e[2], e[3]]).dense()
+        np.testing.assert_allclose(u, e[[2, 3, 0, 1, 4, 5]], atol=1e-12)
 
     def test_forced_mapped_direction(self):
         u = low_rank_unitary([E0], [E1]).dense()
@@ -157,6 +163,10 @@ class TestExtendToUnitary:
         with pytest.raises(ValidationError):
             low_rank_unitary([E0, E0], [E0, E0]).dense()
 
+    def test_overlapping_inputs_and_outputs_rejected(self):
+        with pytest.raises(ValidationError, match="not orthogonal"):
+            low_rank_unitary([E0], [(E0 + E1) / np.sqrt(2)])
+
 
 class TestLowRankUnitary:
     def test_factors_move_only_the_stacked_span(self):
@@ -173,6 +183,7 @@ class TestLowRankUnitary:
             np.testing.assert_allclose(lr.apply(v), lr.dense() @ v, rtol=0, atol=1e-12)
             for a, b in zip(ins, outs):
                 assert np.max(np.abs(lr.apply(a) - b)) < 1e-12
+                assert np.max(np.abs(lr.apply(b) - a)) < 1e-12  # a swap: U = U^dagger
 
     def test_factored_defect_of_exact_and_perturbed_factors(self):
         # The certificate is the spectral norm ||U^dagger U - I||_2, which
@@ -191,3 +202,22 @@ class TestLowRankUnitary:
             assert u.unitarity_defect() >= np.max(np.abs(gap)) - 1e-15
         for u in (bad, skew_w, skew_q):
             assert u.unitarity_defect() > 1e-6
+
+    @pytest.mark.parametrize("kind", ["joint", "supplementary", "ncm"])
+    def test_defect_near_collinear_states(self, kind):
+        # Gram-Schmidt with one re-orthogonalization pass keeps the factors
+        # orthonormal to rounding as the two inputs become nearly parallel;
+        # a single pass lets the defect grow to about 1e-12 at |alpha beta|
+        # = 1 - 1e-7.
+        r0 = np.array([[0.6, 0.4], [0.3, 0.7]])
+        for gap in (1e-3, 1e-5, 1e-6, 1e-7):
+            for phase in (1.0, np.exp(0.7j)):
+                if kind == "ncm":
+                    alpha, beta = (1.0 - gap) * phase, None
+                else:
+                    alpha, beta = np.sqrt(1.0 - gap) * phase, np.sqrt(1.0 - gap)
+                for frac in (0.5, 0.999):
+                    spec = MachineSpec(kind, alpha, beta, 2, frac * boundary_scale(kind, alpha, beta, 2, r0) * r0)
+                    phi = None if beta is None else canonical_pair(beta)
+                    rz = realize(spec, canonical_pair(alpha), phi)
+                    assert rz.unitary.unitarity_defect() < 1e-14, (gap, phase, frac)
