@@ -4,12 +4,13 @@ With optimal probes an optimum puts all success weight in slot 1, which
 carries the largest overlap power, so it does not depend on the depth m.  A
 symmetric optimum is one ray boundary (:func:`clonekit.machine.ray_limit`);
 an asymmetric one is the best of the symmetric point, two row maxima and
-the root of a degree-6 KKT polynomial (at alpha = 0, the Jaeger-Shimony
-value).  A grid oracle, scored in chunks by the feasibility core, checks
-any optimum independently.  Every solver is batched: :func:`optimize_many`,
-:func:`ncmsi_advantage_many` and :func:`discrimination_convergence_many`
-solve the problems of one kind and depth as one array and assert them in
-one core call; the unbatched functions are their length-1 calls.
+the KKT point of the boundary arc between them, a bracketed Newton root (at
+alpha = 0, the Jaeger-Shimony value).  A grid oracle, scored in chunks by
+the feasibility core, checks any optimum independently.  Every solver is
+batched: :func:`optimize_many`, :func:`ncmsi_advantage_many` and
+:func:`discrimination_convergence_many` solve the problems of one kind and
+depth as one array and assert them in one core call; the unbatched
+functions are their length-1 calls.
 """
 
 from __future__ import annotations
@@ -112,11 +113,11 @@ def _symmetric_limits(kind: str, alpha, beta, m: int, cap) -> np.ndarray:
 
 _CASES = ("symmetric", "row-1 maximum", "row-2 maximum", "KKT")  # candidates, in tie-break order
 _TIE = 1e-15  # candidate values this close to the best differ by rounding
-_NEWTON_TOL, _NEWTON_STEPS = 1e-12, 50  # Newton on a KKT root stops after a step below the tol
+_NEWTON_TOL, _NEWTON_STEPS = 1e-12, 50  # a KKT root stops after a step below _NEWTON_TOL v_max
 
 
-def _asymmetric_limits(kind: str, alpha, beta, priors: np.ndarray, cap: np.ndarray) -> np.ndarray:
-    """The row maxima and the KKT point (R1, R2) per row, shape (N, 3, 2), in ``_CASES[1:]`` order.
+def _asymmetric_limits(kind: str, alpha, beta, priors: np.ndarray, cap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row maxima and the KKT point (R1, R2) per row, shape (N, 3, 2), in ``_CASES[1:]`` order, and |K/dK| there.
 
     The success branches cancel at most w_1 sqrt(R1 R2) of |T|, w_1 =
     |alpha|^pow_1 the largest slot weight (Cauchy-Schwarz), so for every m
@@ -127,63 +128,55 @@ def _asymmetric_limits(kind: str, alpha, beta, priors: np.ndarray, cap: np.ndarr
     (R = sin^2 theta; the Jaeger-Shimony corner at w_1 = 0), or a KKT point.
     With X = cos(theta1 - theta2), Y = cos(theta1 + theta2) the boundary is
     Y = A - B X, A = 2|T|/(1 - w_1), B = (1 + w_1)/(1 - w_1); giving the
-    larger prior the larger theta, the objective is (1 - X Y + |p1 - p2|
-    sin(theta1 + theta2) sin|theta1 - theta2|)/2, and its stationarity on
-    the line, squared, is the polynomial of :func:`_kkt_polynomial`.  The
-    best real part of its companion eigenvalues is polished by Newton steps
-    on :func:`_kkt_slope`, stopped per row so that rows stay independent.
-    Rows with a zero prior or w_1 = 1 have no KKT point (NaN).
+    larger prior the larger theta, the objective is unimodal in v =
+    |theta1 - theta2| on the arc from the symmetric point (v = 0, where
+    :func:`_kkt_slope`'s K >= 0) to that prior's row maximum (v_max, where
+    K < 0 unless w_1 = 0).  Its one sign change of K is found by Newton steps
+    from v = 0 that bisect the bracket when they leave it or do not halve
+    (Numerical Recipes' rtsafe), each row stopped after a step of at most
+    _NEWTON_TOL v_max, so that rows stay independent.  Rows with a zero
+    prior, w_1 = 1 or the Jaeger-Shimony corner as optimum have no KKT point (NaN).
     """
     w = np.abs(alpha) ** _overlap_powers(kind, 1)[0]
     t = np.abs(_target(kind, alpha, beta))
+    kkt, residual = np.full((len(t), 2), np.nan), np.full(len(t), np.nan)
+    # At w_1 = 0 the arc ends in the Jaeger-Shimony corner, a root of K; it is the optimum (and
+    # the row maximum) when p_min < |T|^2 p_max, and K has no sign change inside the arc.
+    corner = (w == 0.0) & (priors.min(axis=1) < t * t * priors.max(axis=1))
+    live = (priors[:, 0] * priors[:, 1] > 0.0) & (w < 1.0) & ~corner
     with np.errstate(divide="ignore", invalid="ignore"):
         top = np.fmin(cap, (1.0 - t) * (1.0 + t) / ((1.0 - w) * (1.0 + w)))
         lean = w * w * top  # sin^2 theta_j = lean / (cos^2 theta_i + lean)
         other = np.where(lean > 0.0, lean / (1.0 - top + lean), 0.0)
-    kkt = np.full((len(t), 2), np.nan)
-    live = (priors[:, 0] * priors[:, 1] > 0.0) & (w < 1.0)
-    priors, w, t = priors[live], w[live], t[live]
-    coeffs = _kkt_polynomial(priors, w, t)
-    companion = np.zeros((len(t), 6, 6))
-    companion[:, np.arange(1, 6), np.arange(5)] = 1.0
-    companion[:, :, 5] = -coeffs[:, :6] / coeffs[:, 6:]
-    a, b = (2.0 * t / (1.0 - w))[:, None], ((1.0 + w) / (1.0 - w))[:, None]
-    delta = (priors[:, 0] - priors[:, 1])[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # v = |theta1 - theta2|; a root a rounding past X = 1 stands for v = 0.
-        v = np.arccos(np.fmin(np.linalg.eigvals(companion).real, 1.0))
-        value = np.einsum("nkj,nj->nk", _boundary_point(v, a, b, np.sign(delta)), priors)
-        v = v[np.arange(len(t)), np.where(np.isnan(value), -np.inf, value).argmax(axis=1)][:, None]
-        done = np.isnan(v)
+        w, t, delta = w[live], t[live], priors[live, 0] - priors[live, 1]
+        a, b, gap = 2.0 * t / (1.0 - w), (1.0 + w) / (1.0 - w), np.abs(delta)
+        # theta_top = arctan2(sqrt(top), cos) and theta_other = arctan(w_1 tan theta_top), with
+        # cos = cos theta_top read without 1 - top's cancellation: v_max keeps its digits near pi/2.
+        cos = np.sqrt(np.fmax(1.0 - cap[live], (t - w) * (t + w) / ((1.0 - w) * (1.0 + w))))
+        lo, hi = np.zeros(len(t)), np.arctan2(np.sqrt(top[live]), cos) - np.arctan2(w * np.sqrt(top[live]), cos)
+        su2 = (1.0 - a + b) * (1.0 + a - b)  # sin^2 u at v = 0, where K = gap sin^2 u and dK = sin u (Y - B)
+        v, k, dk, done = lo.copy(), gap * su2, np.sqrt(su2) * (a - 2.0 * b), gap == 0.0
+        step = k / dk
+        older = last = hi - lo
+        tol = _NEWTON_TOL * hi  # steps are measured against the arc, which is short as w_1 nears 1
         for _ in range(_NEWTON_STEPS):
-            step = np.divide(*_kkt_slope(v, a, b, np.abs(delta)))
-            v = np.where(done, v, v - step)
-            done |= ~(np.abs(step) > _NEWTON_TOL)
             if done.all():
                 break
-        kkt[live] = _boundary_point(v, a, b, np.sign(delta))[:, 0]
+            np.copyto(lo, v, where=k > 0.0)
+            np.copyto(hi, v, where=k <= 0.0)
+            size, to = np.abs(step), v - step
+            newton = ~(size > tol) | (lo < to) & (to < hi) & (size <= 0.5 * np.abs(older))  # NaN: stop
+            step = np.where(newton, step, v - 0.5 * (lo + hi))
+            older, last = last, step
+            np.copyto(v, v - step, where=~done)
+            done |= ~(np.abs(step) > tol)
+            k, dk = _kkt_slope(v, a, b, gap)
+            step = k / dk
+            done |= v - step == v  # the next step would not move v
+        kkt[live] = _boundary_point(v, a, b, np.sign(delta))
+        residual[live] = np.abs(step)
     out = np.stack([np.stack([top, other], axis=-1), np.stack([other, top], axis=-1), kkt], axis=1)
-    return np.minimum(out, cap[:, None, None])
-
-
-def _kkt_polynomial(priors: np.ndarray, w: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Ascending coefficients (N, 7) of (Y - B X)^2 (1 - X^2)(1 - Y^2) - D (B Y (1 - X^2) - X (1 - Y^2))^2 in X.
-
-    Y = A - B X as in :func:`_asymmetric_limits` and D = (p1 - p2)^2; the
-    coefficients use E = 1 - D = 4 p1 p2, which does not cancel as a prior goes to 0.
-    """
-    p1, p2 = priors[:, 0], priors[:, 1]
-    a, b, d, e = 2.0 * t / (1.0 - w), (1.0 + w) / (1.0 - w), (p1 - p2) ** 2, 4.0 * p1 * p2
-    a2, b2 = a * a, b * b
-    return np.stack([
-        -a2 * (a2 - 1.0 + b2 * d),
-        2.0 * a * b * (a2 * (2.0 + e) + b2 * d - 1.0 - e),
-        a2 * (a2 * e + 1.0 - 2.0 * e - b2 * (5.0 + 8.0 * e)) + 4.0 * b2 - d * (1.0 + b2) ** 2,
-        2.0 * a * b * (b2 * (1.0 + 5.0 * e) - 3.0 * a2 * e + 3.0 * e - 1.0),
-        b2 * e * (13.0 * a2 - 4.0 * b2 - 4.0),
-        -12.0 * a * b2 * b * e,
-        4.0 * b2 * b2 * e,
-    ], axis=-1)
+    return np.minimum(out, cap[:, None, None]), residual
 
 
 def _boundary_point(v: np.ndarray, a, b, sign) -> np.ndarray:
@@ -200,12 +193,12 @@ def _kkt_slope(v: np.ndarray, a, b, gap) -> tuple[np.ndarray, np.ndarray]:
     K is twice the objective's slope along the line times sin u, u = arccos Y.
     """
     s, c = np.sin(v), np.cos(v)
-    y = a - b * c
+    bc, bs2 = b * c, b * s * s
+    y = a - bc
     su2 = (1.0 - y) * (1.0 + y)
-    su, lever = np.sqrt(su2), y - b * c
-    k = su * s * lever + gap * (c * su2 - b * y * s * s)
-    dk = (su * c * lever - y * b * s * s * lever / su + 2.0 * b * su * s * s
-          - gap * s * (su2 + 4.0 * b * c * y + b * b * s * s))
+    su, lever, ybs2 = np.sqrt(su2), y - bc, y * bs2
+    k = su * s * lever + gap * (c * su2 - ybs2)
+    dk = (su * c - ybs2 / su) * lever + 2.0 * su * bs2 - gap * s * (su2 + 4.0 * bc * y + b * bs2)
     return k, dk
 
 
@@ -247,8 +240,9 @@ def optimize_many(probs: list[OptimizationProblem], tol: float = DEFAULT_TOL,
         cand[:, 0] = best[:, None]
         if asym:
             priors = np.array([prob.priors for prob in group])
-            cand[asym, 1:] = _asymmetric_limits(kind, alpha[asym], None if beta is None else beta[asym],
-                                                priors[asym], cap[asym])
+            at_root = np.full(len(group), np.nan)
+            cand[asym, 1:], at_root[asym] = _asymmetric_limits(kind, alpha[asym], None if beta is None else beta[asym],
+                                                            priors[asym], cap[asym])
         width = cand.shape[1]
         r = np.zeros((len(group) * width, 2, m))
         r[:, :, 0] = cand.reshape(-1, 2)
@@ -257,13 +251,14 @@ def optimize_many(probs: list[OptimizationProblem], tol: float = DEFAULT_TOL,
         choice = [0] * len(group)
         if asym:
             score = np.where(passed.reshape(cand.shape[:2]), (cand * priors[:, None]).sum(axis=-1), -np.inf)
-            choice = (score >= score.max(axis=1, keepdims=True) - _TIE).argmax(axis=1).tolist()
-            at = cand[np.arange(len(group)), choice]  # the KKT residual is sin(priors, boundary normal) there
+            choice = (score >= score.max(axis=1, keepdims=True) - _TIE).argmax(axis=1)
+            at = cand[np.arange(len(group)), choice]  # off the KKT case, the residual is sin(priors, normal) there
             with np.errstate(divide="ignore", invalid="ignore"):  # NaN where a row is 0 or 1
                 normal = (np.abs(alpha[:, None]) ** _overlap_powers(kind, 1)[0] * np.sqrt(at[:, ::-1] / at)
                           - np.sqrt((1.0 - at[:, ::-1]) / (1.0 - at)))
                 cross = priors[:, 0] * normal[:, 1] - priors[:, 1] * normal[:, 0]
                 residual = np.abs(cross) / (np.hypot(*priors.T) * np.hypot(*normal.T))
+            residual = np.where(choice == len(_CASES) - 1, at_root, residual)
         for j, i in enumerate(rows):
             k = j * width + choice[j]
             if not passed[k]:
@@ -432,7 +427,8 @@ def uqcm_distance(alpha_amp: float, beta_amp: float) -> float:
     which is what makes the machine universal.
     """
     a, b = complex(alpha_amp), complex(beta_amp)
-    if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-9:
+    # A part beyond 2 cannot be normalized; rejecting it first keeps every square finite.
+    if not max(map(abs, (a.real, a.imag, b.real, b.imag))) <= 2.0 or abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-9:
         raise ValidationError("input amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
     # Tracing b and the register out of a pure state: rho_a = T T^dagger
     # with T the output reshaped to (a, b x register).

@@ -10,8 +10,10 @@ bounds, sweep, uqcm.  Reports are byte-identical for identical tasks (and
 seed), every float is serialized with 17 significant digits, and a report
 file can itself be passed back via --task to reproduce itself.  Exit codes:
 0 success, 2 validation error, 3 infeasible input, 4 numerical failure.
-A depth ``m`` or ``m_max`` above ``_MAX_DEPTH`` (1024) exits 2, as does a
-synthesis past the byte budgets of clonekit.synthesis.
+A depth ``m`` or ``m_max`` above ``_MAX_DEPTH`` (1024) exits 2, as do a
+simulate ``shots`` above ``_MAX_SHOTS`` (2**63 - 1) and a synthesis past the
+byte budgets of clonekit.synthesis.  A NaN or infinite number in a task field
+that the command does not read exits 2 when the report echoes the task.
 
 Every command handler takes a list of point tasks and returns one
 columnar result (:class:`Columns`): a per-row error list and, for each
@@ -75,6 +77,8 @@ _SWEEP_MAX_POINTS = 10_000
 # numbers (convergence costs O(m_max)); synthesis stops earlier, at
 # synthesis.VECTOR_BYTES_BUDGET.
 _MAX_DEPTH = 1024
+# Largest simulate shot count: the sampler draws 64-bit integer counts.
+_MAX_SHOTS = 2**63 - 1
 # Sweep points per list-handler call (the grid oracle's chunk); keeps the
 # stacks of a 2-axis sweep flat.
 _SWEEP_CHUNK = 1 << 16
@@ -631,6 +635,8 @@ def _cmd_simulate(task: dict, tol: float, seed) -> dict:
         raise ValidationError("simulate requires a seed (--seed or task field)")
     dist, results = _synthesize(task, tol)
     shots = _number(task.get("shots", 10000), "shots", integer=True)
+    if shots > _MAX_SHOTS:
+        raise ValidationError(f"shots = {shots} exceeds the limit {_MAX_SHOTS}")
     input_index = _number(task.get("input_index", 0), "input_index", integer=True)
     results["counts"] = _draw(dist, input_index, shots, seed)
     results["shots"] = shots
@@ -880,6 +886,18 @@ def _load_task(path: str) -> dict:
     return data
 
 
+def _non_finite_field(obj, path: str = "") -> str | None:
+    """The dotted path (as ``--set`` takes it) of the first NaN or infinity in a task, in report order."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else path
+    items = sorted(obj.items()) if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        found = _non_finite_field(value, f"{path}.{key}" if path else key)
+        if found:
+            return found
+    return None
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -971,7 +989,14 @@ def main(argv=None) -> int:
                 "tolerance": tol,
                 "seed": seed,
             }
-            _emit(_canonical(report) + "\n", out_path)
+            try:
+                text = _canonical(report) + "\n"
+            except NumericalError:
+                field = _non_finite_field(task)
+                if field is None:
+                    raise
+                raise ValidationError(f"task field {field!r} is non-finite") from None
+            _emit(text, out_path)
         return 0
     except ValidationError as exc:
         print(f"clonekit: validation error: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ from clonekit.analysis import (
     uqcm_distance,
 )
 import clonekit.analysis
-from clonekit.analysis import _CAP_MARGIN, _grid_feasible, _kkt_polynomial
+from clonekit.analysis import _CAP_MARGIN, _asymmetric_limits, _grid_feasible, _kkt_slope
 from clonekit.errors import NumericalError, ValidationError
 from clonekit.machine import MachineSpec, feasibility_core, feasible, ray_limit, ray_terms
 from clonekit.qlinalg import DEFAULT_TOL
@@ -218,17 +218,64 @@ class TestAsymmetricOptimum:
         cases = {_assert_kkt_certificate(prob, optimize(prob)) for prob in _random_problems(rng, 150)}
         assert cases == {"symmetric", "row-1 maximum", "row-2 maximum", "KKT"}
 
-    def test_kkt_polynomial_is_the_squared_stationarity(self):
-        rng = np.random.default_rng(197)
-        p0, w, t, x = rng.uniform(size=(4, 200))
-        priors = np.stack([p0, 1.0 - p0], axis=-1)
-        coeffs = _kkt_polynomial(priors, w, t)
-        a, b, d = 2.0 * t / (1.0 - w), (1.0 + w) / (1.0 - w), (2.0 * p0 - 1.0) ** 2
-        y = a - b * x
-        want = (y - b * x) ** 2 * (1 - x * x) * (1 - y * y) - d * (b * y * (1 - x * x) - x * (1 - y * y)) ** 2
-        powers = x[:, None] ** np.arange(7)
-        got = (coeffs * powers).sum(axis=1)
-        assert np.all(np.abs(got - want) <= 1e-12 * (np.abs(coeffs) * powers).sum(axis=1))
+    def test_kkt_point_is_the_scanned_maximum_of_the_arc(self):
+        # The objective along the boundary arc from the symmetric point
+        # (v = 0) to the larger prior's row maximum (v_max), scanned at 10^5
+        # values of v = |theta1 - theta2| without the optimizer's code.
+        rng = np.random.default_rng(199)
+        interior = 0
+        for prob in _random_problems(rng, 150):
+            a = abs(prob.alpha)
+            w = a if prob.kind == "supplementary" else a * a
+            t = {"joint": a * abs(prob.beta or 0.0), "ncm": a, "supplementary": abs(prob.beta or 0.0)}[prob.kind]
+            top = (1.0 - t * t) / (1.0 - w * w)
+            if min(prob.priors) == 0.0 or top >= 1.0 - 1e-9:
+                continue  # no KKT point, or a cap binds
+            other = w * w * top / (1.0 - top + w * w * top)
+            v_max = np.arcsin(np.sqrt(top)) - np.arcsin(np.sqrt(other))
+            v = np.linspace(0.0, v_max, 100_000)
+            big, small = sorted(prob.priors, reverse=True)
+            half_sum = 0.5 * np.arccos(2.0 * t / (1.0 - w) - (1.0 + w) / (1.0 - w) * np.cos(v))
+            scan = big * np.sin(half_sum + 0.5 * v) ** 2 + small * np.sin(half_sum - 0.5 * v) ** 2
+            best = int(np.nanargmax(scan))
+            cand, root = _asymmetric_limits(prob.kind, np.array([prob.alpha]),
+                                            None if prob.beta is None else np.array([prob.beta]),
+                                            np.array([prob.priors]), np.ones(1))
+            r1, r2 = cand[0, 2]
+            if np.isnan(r1):  # the Jaeger-Shimony corner: the arc's end, a row maximum, is the optimum
+                assert w == 0.0 and best == len(v) - 1 and big * t * t > small, prob
+                continue
+            v_kkt = abs(np.arcsin(np.sqrt(r1)) - np.arcsin(np.sqrt(r2)))
+            assert abs(v_kkt - v[best]) <= v[1], prob
+            if big == small:
+                assert v_kkt == 0.0, prob
+            elif 0 < best < len(v) - 1:
+                interior += 1
+                assert root[0] <= 1e-12, prob
+                ab = (2.0 * t / (1.0 - w), (1.0 + w) / (1.0 - w), big - small)
+                k = _kkt_slope(np.array([v_kkt - v[1], v_kkt + v[1]]), *ab)[0]
+                assert k[0] > 0.0 > k[1], prob
+        assert interior >= 40
+
+    def test_no_linear_algebra_library_in_the_asymmetric_optimum(self, monkeypatch):
+        rng = np.random.default_rng(211)
+        probs = _random_problems(rng, 90)
+        want = optimize_many(probs)
+
+        def unavailable(*args, **kwargs):
+            raise AssertionError("np.linalg called")
+
+        class NoLinalg:
+            def __getattr__(self, name):
+                raise AssertionError(f"np.linalg.{name} looked up")
+
+        monkeypatch.setattr(np.linalg, "eigvals", unavailable)
+        monkeypatch.setattr(np, "linalg", NoLinalg())
+        got = optimize_many(probs)
+        assert {prob.kind for prob in probs} == {"joint", "ncm", "supplementary"}
+        for prob, res, ref in zip(probs, got, want):
+            assert isinstance(res, clonekit.analysis.OptimizationResult), prob
+            assert res.value == ref.value and res.method_trace == ref.method_trace, prob
 
 
 class TestClosedFormOptima:

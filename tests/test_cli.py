@@ -863,6 +863,38 @@ class TestNonFiniteOverlaps:
             2, "", "clonekit: validation error: alpha is non-finite\n")
 
 
+NCM_FEAS = {"command": "feasibility", "kind": "ncm", "alpha": 0.5, "m": 1, "r": [[0.5], [0.5]]}
+NORMALIZATION = "input amplitudes must satisfy |alpha|^2 + |beta|^2 = 1"
+
+
+class TestNoOverflow:
+    """A value no later step can use exits 2 with the field's message, where it once overflowed."""
+
+    @pytest.mark.parametrize("command,payload,sets,message", [
+        ("uqcm", {"amplitudes": [-1e308, 0.5]}, [], NORMALIZATION),
+        ("uqcm", {"amplitudes": [0.6, [0.8, 1e308]]}, [], NORMALIZATION),
+        ("uqcm", {"amplitudes": [2.5, 0.0]}, [], NORMALIZATION),
+        ("simulate", {**SYNTH_TASK, "command": "simulate", "seed": 1, "shots": 2**63}, [],
+         "shots = 9223372036854775808 exceeds the limit 9223372036854775807"),
+        ("simulate", {**SYNTH_TASK, "command": "simulate", "seed": 1, "shots": 1e300}, [],
+         f"shots = {int(1e300)} exceeds the limit 9223372036854775807"),
+        ("feasibility", NCM_FEAS, ["beta=NaN"], "task field 'beta' is non-finite"),
+        ("bounds", {"alpha": 0.5, "quantities": ["duan_guo"]}, ["beta=Infinity"], "task field 'beta' is non-finite"),
+        ("feasibility", NCM_FEAS, ["junk.x=[1, -Infinity]"], "task field 'junk.x.1' is non-finite"),
+    ], ids=["uqcm-real", "uqcm-imaginary", "uqcm-above-2", "shots-2**63", "shots-1e300",
+            "unread-beta", "unread-bounds-beta", "unread-nested"])
+    def test_exit_2_without_traceback(self, tmp_path, capsys, command, payload, sets, message):
+        argv = [command, "--task", write_task(tmp_path, "t.json", payload)]
+        for item in sets:
+            argv += ["--set", item]
+        assert run(capsys, argv) == (2, "", f"clonekit: validation error: {message}\n")
+
+    def test_largest_shot_count_runs(self, tmp_path, capsys):
+        task = {**SYNTH_TASK, "command": "simulate", "seed": 1, "shots": 2**63 - 1}
+        code, out, _ = run(capsys, ["simulate", "--task", write_task(tmp_path, "t.json", task)])
+        assert code == 0 and sum(json.loads(out)["results"]["counts"].values()) == 2**63 - 1
+
+
 class TestTaskFileEncoding:
     def test_not_utf8_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
